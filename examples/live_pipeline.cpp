@@ -6,7 +6,7 @@
 // ingestion counters.
 //
 //   $ ./live_pipeline [incident_count] [--obs] [--chaos] [--steps N]
-//                     [--serve PORT] [--snapshot-dir DIR] [--backend NAME]
+//                     [--serve PORT] [--snapshot-dir DIR]
 //
 // --obs dumps the observability registry (counters, gauges, latency
 // histograms from every pipeline layer) after the day completes.
@@ -25,8 +25,6 @@
 // (when present) replaces the warmup — the run resumes exactly where the
 // saved run stopped; on clean exit the final state is written back. The
 // verdict store rides along in the same file when --serve is active.
-// --backend hashmap|columnar picks the learner/verdict state representation
-// (results are bit-identical; columnar is the memory-bounded path).
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   int steps = util::kMinutesPerDay / 15;
   int serve_port = -1;
   std::string snapshot_dir;
-  auto backend = store::StateBackend::kHashMap;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--obs") == 0) {
       dump_obs = true;
@@ -74,17 +71,9 @@ int main(int argc, char** argv) {
       serve_port = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--snapshot-dir") == 0 && i + 1 < argc) {
       snapshot_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "columnar") {
-        backend = store::StateBackend::kColumnar;
-      } else if (name == "hashmap") {
-        backend = store::StateBackend::kHashMap;
-      } else {
-        std::fprintf(stderr, "unknown --backend %s (hashmap|columnar)\n",
-                     name.c_str());
-        return 2;
-      }
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "unknown option %s\n", argv[i]);
+      return 2;
     } else {
       incident_count = std::atoi(argv[i]);
     }
@@ -109,7 +98,6 @@ int main(int argc, char** argv) {
   // defaults; spelled out because the chaos config comes after them.
   core::BlameItConfig pipe_cfg;
   pipe_cfg.expected_rtt_window_days = 2;
-  pipe_cfg.state_backend = backend;
   net::TopologyConfig topo_cfg;
   topo_cfg.locations_per_region = 1;
   topo_cfg.eyeballs_per_region = 4;
@@ -160,8 +148,8 @@ int main(int argc, char** argv) {
   if (serve_port >= 0) {
     std::signal(SIGINT, on_sigint);
     std::signal(SIGTERM, on_sigint);
-    store = std::make_unique<svc::VerdictStore>(svc::VerdictStore::Config{
-        .backend = backend, .registry = &stack->registry});
+    store = std::make_unique<svc::VerdictStore>(
+        svc::VerdictStore::Config{.registry = &stack->registry});
     service =
         std::make_unique<svc::VerdictService>(store.get(), &stack->registry);
     svc::HttpServerConfig http_cfg;

@@ -7,6 +7,15 @@
 
 namespace blameit::analysis {
 
+namespace {
+
+// Second varint of the "learner" section. Tag 1 marked the columnar
+// backend's layout, which has since been removed.
+constexpr std::uint64_t kHashMapLayoutTag = 0;
+constexpr std::uint64_t kRemovedColumnarLayoutTag = 1;
+
+}  // namespace
+
 ExpectedRttKey cloud_key(net::CloudLocationId location,
                          net::DeviceClass device) noexcept {
   return ExpectedRttKey{(std::uint64_t{1} << 62) |
@@ -32,13 +41,6 @@ ExpectedRttLearner::ExpectedRttLearner(ExpectedRttConfig config)
     throw std::invalid_argument{
         "ExpectedRttConfig: transfer discount must be >= 1 and max age >= 1"};
   }
-  if (config_.backend == store::StateBackend::kColumnar) {
-    store::ReservoirStoreConfig store_config;
-    store_config.reservoir_cap = config_.reservoir_per_day;
-    store_config.metric_prefix = "store.learner";
-    store_config.registry = config_.registry;
-    store_ = std::make_unique<store::ReservoirStore>(std::move(store_config));
-  }
   memo_hits_c_ = obs::counter(config_.registry, "learner.memo_hits");
   memo_misses_c_ = obs::counter(config_.registry, "learner.memo_misses");
   evictions_c_ = obs::counter(config_.registry, "learner.reservoir_evictions");
@@ -48,19 +50,6 @@ ExpectedRttLearner::ExpectedRttLearner(ExpectedRttConfig config)
 void ExpectedRttLearner::observe(ExpectedRttKey key, int day, double rtt_ms) {
   if (day < 0 || rtt_ms < 0.0) {
     throw std::invalid_argument{"ExpectedRttLearner: negative day or RTT"};
-  }
-  if (store_) {
-    // Same cache rule as the hash path: an observation can only fall inside
-    // a cached window when the cached query day lies ahead of it.
-    if (!columnar_memo_.empty()) {
-      const auto it = columnar_memo_.find(key.packed);
-      if (it != columnar_memo_.end() && it->second.cache_day > day) {
-        columnar_memo_.erase(it);
-      }
-    }
-    store_->observe(key.packed, day, rtt_ms);
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
   }
   auto& history = histories_[key];
   obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
@@ -108,35 +97,11 @@ std::optional<double> ExpectedRttLearner::pooled_median(
   return util::median_inplace(pool);
 }
 
-std::optional<double> ExpectedRttLearner::columnar_median(std::uint64_t key,
-                                                          int day) const {
-  static thread_local std::vector<double> pool;
-  pool.clear();
-  store_->collect_window(key, day, config_.window_days, pool);
-  if (pool.empty()) return std::nullopt;
-  return util::median_inplace(pool);
-}
-
 std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
                                                    int day) const {
-  if (store_) {
-    if (!store_->contains(key.packed)) return std::nullopt;
-    if (!config_.memoize_medians) return columnar_median(key.packed, day);
-    std::lock_guard lock{cache_mutex_};
-    auto& memo = columnar_memo_[key.packed];
-    if (memo.cache_day != day) {
-      obs::add(memo_misses_c_);
-      memo.cache_value = columnar_median(key.packed, day);
-      memo.cache_day = day;
-    } else {
-      obs::add(memo_hits_c_);
-    }
-    return memo.cache_value;
-  }
   const auto it = histories_.find(key);
   if (it == histories_.end()) return std::nullopt;
   const KeyHistory& history = it->second;
-  if (!config_.memoize_medians) return pooled_median(history, day);
   std::lock_guard lock{cache_mutex_};
   if (history.cache_day != day) {
     obs::add(memo_misses_c_);
@@ -202,9 +167,6 @@ bool ExpectedRttLearner::recently_churned(ExpectedRttKey key, int day) const {
 
 std::size_t ExpectedRttLearner::history_size(ExpectedRttKey key,
                                              int day) const {
-  if (store_) {
-    return store_->window_sample_count(key.packed, day, config_.window_days);
-  }
   const auto it = histories_.find(key);
   if (it == histories_.end()) return 0;
   std::size_t n = 0;
@@ -226,16 +188,6 @@ void ExpectedRttLearner::evict_stale(int day) {
     } else {
       ++it;
     }
-  }
-  if (store_) {
-    const std::size_t dropped =
-        store_->evict_stale(day - config_.window_days);
-    obs::add(evictions_c_, dropped);
-    // Dropped reservoirs may sit inside the window of a cached older query
-    // day; recomputation is deterministic, so a blanket clear is safe.
-    if (dropped > 0) columnar_memo_.clear();
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
   }
   const int cutoff = day - config_.window_days;
   // Only visit day buckets past the cutoff: each bucket lists the keys that
@@ -267,30 +219,10 @@ void ExpectedRttLearner::evict_stale(int day) {
 
 void ExpectedRttLearner::save_state(store::SnapshotWriter& writer) const {
   std::string& out = writer.section("learner");
-  // Format 2 = format 1 + the trailing transfer side table. The table is
-  // serialized identically on both backends (std::map order), so transferred
-  // provenance round-trips bit-identically everywhere.
+  // Format 2 = format 1 + the trailing transfer side table (std::map order,
+  // so transferred provenance round-trips bit-identically).
   store::put_varint(out, 2);  // learner payload format
-  store::put_varint(
-      out, config_.backend == store::StateBackend::kColumnar ? 1 : 0);
-  const auto put_transfers = [&] {
-    store::put_varint(out, transfers_.size());
-    std::uint64_t prev = 0;
-    for (const auto& [key, entry] : transfers_) {
-      store::put_varint(out, key - prev);
-      prev = key;
-      store::put_svarint(out, entry.day);
-      store::put_f64(out, entry.value);
-      store::put_varint(out, entry.from_key);
-    }
-  };
-  if (store_) {
-    // Transfers go BEFORE the columnar payload: ReservoirStore::restore
-    // consumes to the end of the section (its own expect_done).
-    put_transfers();
-    store_->save(out);
-    return;
-  }
+  store::put_varint(out, kHashMapLayoutTag);
   std::vector<std::uint64_t> keys;
   keys.reserve(histories_.size());
   for (const auto& [key, history] : histories_) keys.push_back(key.packed);
@@ -309,7 +241,15 @@ void ExpectedRttLearner::save_state(store::SnapshotWriter& writer) const {
       for (const double v : reservoir.sample) store::put_f64(out, v);
     }
   }
-  put_transfers();
+  store::put_varint(out, transfers_.size());
+  prev = 0;
+  for (const auto& [key, entry] : transfers_) {
+    store::put_varint(out, key - prev);
+    prev = key;
+    store::put_svarint(out, entry.day);
+    store::put_f64(out, entry.value);
+    store::put_varint(out, entry.from_key);
+  }
 }
 
 void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
@@ -318,43 +258,13 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
   if (format != 1 && format != 2) {
     in.fail("unsupported learner payload format " + std::to_string(format));
   }
-  const std::uint64_t saved_backend = in.varint();
-  const std::uint64_t want_backend =
-      config_.backend == store::StateBackend::kColumnar ? 1 : 0;
-  if (saved_backend != want_backend) {
-    in.fail(std::string{"snapshot was written by the "} +
-            (saved_backend == 1 ? "columnar" : "hashmap") +
-            " backend but this learner is configured for " +
-            std::string{to_string(config_.backend)});
+  const std::uint64_t layout = in.varint();
+  if (layout == kRemovedColumnarLayoutTag) {
+    in.fail("written by the removed columnar state backend; that layout "
+            "is no longer readable");
   }
-  const auto read_transfers = [&] {
-    std::map<std::uint64_t, TransferEntry> transfers;
-    if (format >= 2) {
-      const std::uint64_t n = in.varint();
-      if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
-      std::uint64_t prev = 0;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        prev += in.varint();
-        TransferEntry entry;
-        const std::int64_t day64 = in.svarint();
-        if (day64 < 0 || day64 > INT_MAX) in.fail("transfer day out of range");
-        entry.day = static_cast<int>(day64);
-        entry.value = in.f64();
-        entry.from_key = in.varint();
-        if (!transfers.emplace(prev, entry).second) {
-          in.fail("duplicate transfer key");
-        }
-      }
-    }
-    return transfers;
-  };
-  if (store_) {
-    auto transfers = read_transfers();
-    store_->restore(in);  // consumes the rest of the section, expect_done'd
-    transfers_ = std::move(transfers);
-    columnar_memo_.clear();
-    obs::set(tracked_keys_g_, static_cast<double>(store_->tracked_keys()));
-    return;
+  if (layout != kHashMapLayoutTag) {
+    in.fail("unknown learner layout tag " + std::to_string(layout));
   }
   std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories;
   std::map<int, std::vector<ExpectedRttKey>> keys_by_day;
@@ -392,7 +302,24 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
       history.days.push_back(std::move(reservoir));
     }
   }
-  auto transfers = read_transfers();
+  std::map<std::uint64_t, TransferEntry> transfers;
+  if (format >= 2) {
+    const std::uint64_t n = in.varint();
+    if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
+    prev = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      prev += in.varint();
+      TransferEntry entry;
+      const std::int64_t day64 = in.svarint();
+      if (day64 < 0 || day64 > INT_MAX) in.fail("transfer day out of range");
+      entry.day = static_cast<int>(day64);
+      entry.value = in.f64();
+      entry.from_key = in.varint();
+      if (!transfers.emplace(prev, entry).second) {
+        in.fail("duplicate transfer key");
+      }
+    }
+  }
   in.expect_done();
   histories_ = std::move(histories);
   keys_by_day_ = std::move(keys_by_day);

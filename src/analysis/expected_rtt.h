@@ -6,13 +6,7 @@
 // catch shifts that stay below the region target (the paper's 40 ms→55 ms
 // worked example).
 //
-// Two interchangeable state backends (ExpectedRttConfig::backend):
-//  - kHashMap: per-key deques of day reservoirs, the original reference path.
-//  - kColumnar: a store::ReservoirStore — sorted immutable blocks + memtable,
-//    memory-bounded and snapshot-friendly. Requires globally day-ordered
-//    observations (which is how the pipeline feeds the learner).
-// Both produce bit-identical expected() values on the same feed; the hash
-// path stays as the reference the columnar path is tested against.
+// State: one hash map from key to a deque of per-day reservoirs.
 //
 // The pooled median is memoized per ⟨key, query day⟩: the 14-day window only
 // changes at day rollover, yet expected() is consulted once per group per
@@ -32,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -42,7 +35,6 @@
 #include "net/cloud.h"
 #include "net/device.h"
 #include "obs/registry.h"
-#include "store/reservoir_store.h"
 #include "store/snapshot.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -87,15 +79,8 @@ struct ExpectedRttConfig {
   /// Transfers older than this many days stop being served (and are evicted)
   /// — by then the window either has real history or the path is gone.
   int transfer_max_age_days = 3;
-  /// Serve repeated expected() queries from the per-⟨key, day⟩ median cache.
-  /// Off = recompute per call (the pre-cache behavior; kept as an A/B knob
-  /// for the perf benches).
-  bool memoize_medians = true;
-  /// Which state representation holds the reservoirs (see file comment).
-  store::StateBackend backend = store::StateBackend::kHashMap;
-  /// Optional metrics sink (memoization hit/miss, evictions, tracked keys;
-  /// the columnar backend additionally exports store.learner.* block/
-  /// memtable/merge metrics); null = no instrumentation, zero overhead.
+  /// Optional metrics sink (memoization hit/miss, evictions, tracked keys);
+  /// null = no instrumentation, zero overhead.
   obs::Registry* registry = nullptr;
 };
 
@@ -161,18 +146,14 @@ class ExpectedRttLearner {
 
   /// Keys with at least one live reservoir (memory-regression observability).
   [[nodiscard]] std::size_t tracked_keys() const noexcept {
-    return store_ ? store_->tracked_keys() : histories_.size();
-  }
-
-  [[nodiscard]] store::StateBackend backend() const noexcept {
-    return config_.backend;
+    return histories_.size();
   }
 
   /// Writes the full reservoir state as snapshot section "learner". Memo
   /// caches are not persisted (recomputation yields identical values).
   void save_state(store::SnapshotWriter& writer) const;
-  /// Replaces the reservoir state from a snapshot. The snapshot must have
-  /// been written by the same backend (the section records which).
+  /// Replaces the reservoir state from a snapshot. A section written by the
+  /// removed columnar backend (layout tag 1) is rejected by name.
   void restore_state(const store::SnapshotReader& reader);
 
  private:
@@ -193,14 +174,9 @@ class ExpectedRttLearner {
       return std::hash<std::uint64_t>{}(k.packed);
     }
   };
-  struct ColumnarMemo {
-    int cache_day = INT_MIN;
-    std::optional<double> cache_value;
-  };
   /// One inherited baseline: the (undiscounted) value captured from the
-  /// source at transfer time. Held OUTSIDE the reservoir backends: the
-  /// columnar store requires globally day-ordered rows, which forbids
-  /// seeding past days, and a side table keeps both backends bit-identical.
+  /// source at transfer time. Held outside the reservoirs: they stay
+  /// day-ordered observations only, never seeded past days.
   struct TransferEntry {
     int day = -1;                ///< day the transfer was recorded
     double value = 0.0;          ///< source median at transfer time
@@ -211,19 +187,15 @@ class ExpectedRttLearner {
   /// the median (nth_element, no per-call allocation).
   [[nodiscard]] std::optional<double> pooled_median(const KeyHistory& history,
                                                     int day) const;
-  [[nodiscard]] std::optional<double> columnar_median(std::uint64_t key,
-                                                      int day) const;
 
   ExpectedRttConfig config_;
   std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories_;
   /// Day -> keys that created a reservoir on that day; lets evict_stale()
   /// visit only expired reservoirs instead of scanning every tracked key.
   std::map<int, std::vector<ExpectedRttKey>> keys_by_day_;
-  std::unique_ptr<store::ReservoirStore> store_;  // columnar backend only
   /// Key → inherited baseline. std::map: deterministic iteration order makes
-  /// the snapshot bytes identical on both backends.
+  /// the snapshot bytes reproducible.
   std::map<std::uint64_t, TransferEntry> transfers_;
-  mutable std::unordered_map<std::uint64_t, ColumnarMemo> columnar_memo_;
   mutable std::mutex cache_mutex_;
 
   // Instruments (null without a registry).

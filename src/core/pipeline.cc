@@ -19,8 +19,6 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
       learner_(analysis::ExpectedRttConfig{
           .window_days = config.expected_rtt_window_days,
           .reservoir_per_day = 256,
-          .memoize_medians = config.memoize_expected_rtt,
-          .backend = config.state_backend,
           .registry = registry}),
       passive_(topology, &learner_, config, registry),
       durations_(config.duration_horizon_buckets),

@@ -219,10 +219,10 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
   ctx.check_keys(v, path,
                  {"analytics_threads", "expected_rtt_window_days",
                   "probe_budget_per_run", "active_quorum_k",
-                  "active_probe_retries", "state_backend",
-                  "churn_baseline_transfer", "churn_transfer_discount",
-                  "churn_transfer_max_age_days", "churn_steer_shield",
-                  "churn_shield_minutes", "probe_on_no_baseline"});
+                  "active_probe_retries", "churn_baseline_transfer",
+                  "churn_transfer_discount", "churn_transfer_max_age_days",
+                  "churn_steer_shield", "churn_shield_minutes",
+                  "probe_on_no_baseline"});
   const auto opt_int = [&](std::string_view key, int& field, int lo, int hi) {
     if (const auto* m = v.find(key)) {
       field = static_cast<int>(
@@ -253,19 +253,6 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
   opt_bool("churn_steer_shield", out.churn_steer_shield);
   opt_int("churn_shield_minutes", out.churn_shield_minutes, 1, 7 * 24 * 60);
   opt_bool("probe_on_no_baseline", out.probe_on_no_baseline);
-  if (const auto* m = v.find("state_backend")) {
-    const std::string p = path + ".state_backend";
-    const auto& token = ctx.want_string(*m, p);
-    if (token == "hashmap") {
-      out.state_backend = store::StateBackend::kHashMap;
-    } else if (token == "columnar") {
-      out.state_backend = store::StateBackend::kColumnar;
-    } else {
-      ctx.fail(*m, p,
-               "unknown state backend \"" + token +
-                   "\" (allowed: hashmap, columnar)");
-    }
-  }
 }
 
 void parse_ingest(const Ctx& ctx, const Value& v, const std::string& path,

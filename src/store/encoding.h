@@ -1,7 +1,7 @@
-// Byte-level encoding primitives for the columnar state store and its
-// snapshot files: fixed-width little-endian integers, LEB128 varints with
-// zigzag for signed values, and raw IEEE-754 doubles (medians must restore
-// bit-identically, so floats are never quantized).
+// Byte-level encoding primitives for snapshot files: fixed-width
+// little-endian integers, LEB128 varints with zigzag for signed values, and
+// raw IEEE-754 doubles (medians must restore bit-identically, so floats are
+// never quantized).
 //
 // Reads go through ByteReader, which carries the absolute file offset and a
 // context string so every decode failure — truncation, varint overrun,

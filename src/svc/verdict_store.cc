@@ -144,70 +144,16 @@ DiagnosisRecord read_diagnosis(store::ByteReader& in) {
 
 }  // namespace
 
-std::size_t VerdictStore::VerdictColumns::bytes() const noexcept {
-  return keys.capacity() * sizeof(Key) +
-         middles.capacity() * sizeof(std::uint32_t) +
-         client_ases.capacity() * sizeof(std::uint32_t) +
-         blames.capacity() + faulty_ases.capacity() * sizeof(std::uint32_t) +
-         confidences.capacity() + flags.capacity() +
-         buckets.capacity() * sizeof(std::int64_t) +
-         mean_rtts.capacity() * sizeof(double) +
-         sample_counts.capacity() * sizeof(std::int32_t) + sizeof(*this);
-}
-
-void VerdictStore::VerdictColumns::append(Key key, const Verdict& v) {
-  keys.push_back(key);
-  middles.push_back(v.middle.value);
-  client_ases.push_back(v.client_as.value);
-  blames.push_back(static_cast<std::uint8_t>(v.blame));
-  faulty_ases.push_back(v.faulty_as ? v.faulty_as->value + 1 : 0);
-  confidences.push_back(static_cast<std::uint8_t>(v.confidence));
-  flags.push_back(static_cast<std::uint8_t>(
-      (v.from_active ? 1 : 0) | (v.baseline_predates_issue ? 2 : 0) |
-      (static_cast<std::uint8_t>(v.grade) << 2)));
-  buckets.push_back(v.bucket.index);
-  mean_rtts.push_back(v.mean_rtt_ms);
-  sample_counts.push_back(v.sample_count);
-  min_bucket = std::min(min_bucket, v.bucket.index);
-}
-
-Verdict VerdictStore::VerdictColumns::row(std::size_t i) const {
-  Verdict v;
-  v.block = net::Slash24{static_cast<std::uint32_t>(keys[i] >> 16)};
-  v.location =
-      net::CloudLocationId{static_cast<std::uint16_t>(keys[i] & 0xFFFF)};
-  v.middle = net::MiddleSegmentId{middles[i]};
-  v.client_as = net::AsId{client_ases[i]};
-  v.blame = static_cast<core::Blame>(blames[i]);
-  if (faulty_ases[i] != 0) v.faulty_as = net::AsId{faulty_ases[i] - 1};
-  v.confidence = static_cast<core::DiagnosisConfidence>(confidences[i]);
-  v.from_active = (flags[i] & 1) != 0;
-  v.baseline_predates_issue = (flags[i] & 2) != 0;
-  v.grade = static_cast<core::BaselineGrade>((flags[i] >> 2) & 3);
-  v.bucket = util::TimeBucket{buckets[i]};
-  v.mean_rtt_ms = mean_rtts[i];
-  v.sample_count = sample_counts[i];
-  return v;
-}
-
 VerdictStore::VerdictStore(Config config)
     : config_(config),
       work_(static_cast<std::size_t>(std::max(1, config.shards))),
       dirty_(work_.size(), false),
-      shards_(work_.size()),
-      cshards_(work_.size()) {
+      shards_(work_.size()) {
   if (config_.verdict_retention_buckets < 1) {
     throw std::invalid_argument{"VerdictStore: retention must be >= 1"};
   }
   const auto empty = std::make_shared<const ShardMap>();
   for (auto& shard : shards_) shard.store(empty);
-  if (columnar()) {
-    delta_.resize(work_.size());
-    ccur_.assign(work_.size(), std::make_shared<const VerdictColumns>());
-    for (std::size_t i = 0; i < cshards_.size(); ++i) {
-      cshards_[i].store(ccur_[i]);
-    }
-  }
   timeline_.store(std::make_shared<const Timeline>());
   auto* r = config_.registry;
   publishes_c_ = obs::counter(r, "svc.store.publishes");
@@ -228,20 +174,11 @@ void VerdictStore::publish(const core::StepReport& report) {
   // Swap the shards that changed. Readers that loaded the old pointer keep
   // a consistent (just slightly stale) view until they drop it.
   std::size_t live = 0;
-  if (columnar()) {
-    const std::int64_t horizon =
-        newest_bucket_.index - config_.verdict_retention_buckets;
-    for (std::size_t i = 0; i < delta_.size(); ++i) {
-      rebuild_columnar_shard(i, horizon);
-      live += ccur_[i]->rows();
-    }
-  } else {
-    for (std::size_t i = 0; i < work_.size(); ++i) {
-      live += work_[i].size();
-      if (!dirty_[i]) continue;
-      shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
-      dirty_[i] = false;
-    }
+  for (std::size_t i = 0; i < work_.size(); ++i) {
+    live += work_[i].size();
+    if (!dirty_[i]) continue;
+    shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
+    dirty_[i] = false;
   }
   publish_timeline(report);
   epoch_.fetch_add(1, std::memory_order_release);
@@ -303,15 +240,9 @@ void VerdictStore::fold_blames(const core::StepReport& report) {
     }
     newest_bucket_ = std::max(newest_bucket_, v.bucket);
     const auto shard = shard_of(v.block);
-    if (columnar()) {
-      delta_[shard][key_of(v.block, v.location)] = v;
-    } else {
-      work_[shard][key_of(v.block, v.location)] = v;
-      dirty_[shard] = true;
-    }
+    work_[shard][key_of(v.block, v.location)] = v;
+    dirty_[shard] = true;
   }
-
-  if (columnar()) return;  // aging happens during the column rebuild
 
   // Age out verdicts that fell off the retention window.
   const std::int64_t horizon =
@@ -326,49 +257,6 @@ void VerdictStore::fold_blames(const core::StepReport& report) {
       }
     }
   }
-}
-
-void VerdictStore::rebuild_columnar_shard(std::size_t i,
-                                          std::int64_t horizon) {
-  ShardMap& delta = delta_[i];
-  const VerdictColumns& old = *ccur_[i];
-  const bool needs_age = old.rows() > 0 && old.min_bucket <= horizon;
-  if (delta.empty() && !needs_age) return;
-
-  // Sort the delta once; merge-walk against the old (already sorted) block.
-  std::vector<std::pair<Key, const Verdict*>> upserts;
-  upserts.reserve(delta.size());
-  for (const auto& [key, v] : delta) upserts.emplace_back(key, &v);
-  std::sort(upserts.begin(), upserts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  auto next = std::make_shared<VerdictColumns>();
-  next->keys.reserve(old.rows() + upserts.size());
-  std::size_t oi = 0;
-  std::size_t di = 0;
-  while (oi < old.rows() || di < upserts.size()) {
-    const bool take_delta =
-        di < upserts.size() &&
-        (oi >= old.rows() || upserts[di].first <= old.keys[oi]);
-    if (take_delta) {
-      if (oi < old.rows() && upserts[di].first == old.keys[oi]) {
-        ++oi;  // the delta row supersedes the old one
-      }
-      const Verdict& v = *upserts[di].second;
-      // Same rule as the hash path: upsert, then age — a row older than
-      // the horizon (however it got here) does not survive the publish.
-      if (v.bucket.index > horizon) next->append(upserts[di].first, v);
-      ++di;
-    } else {
-      if (old.buckets[oi] > horizon) {
-        next->append(old.keys[oi], old.row(oi));
-      }
-      ++oi;
-    }
-  }
-  delta.clear();
-  ccur_[i] = std::move(next);
-  cshards_[i].store(ccur_[i]);
 }
 
 void VerdictStore::fold_incidents(const core::StepReport& report) {
@@ -505,14 +393,6 @@ void VerdictStore::publish_timeline(const core::StepReport& report) {
 std::optional<Verdict> VerdictStore::lookup(
     net::Slash24 block, net::CloudLocationId location) const {
   obs::add(lookups_c_);
-  if (columnar()) {
-    const auto cols = cshards_[shard_of(block)].load();
-    const Key key = key_of(block, location);
-    const auto it =
-        std::lower_bound(cols->keys.begin(), cols->keys.end(), key);
-    if (it == cols->keys.end() || *it != key) return std::nullopt;
-    return cols->row(static_cast<std::size_t>(it - cols->keys.begin()));
-  }
   const auto shard = shards_[shard_of(block)].load();
   const auto it = shard->find(key_of(block, location));
   if (it == shard->end()) return std::nullopt;
@@ -522,21 +402,6 @@ std::optional<Verdict> VerdictStore::lookup(
 std::vector<Verdict> VerdictStore::lookup(net::Slash24 block) const {
   obs::add(lookups_c_);
   std::vector<Verdict> out;
-  if (columnar()) {
-    const auto cols = cshards_[shard_of(block)].load();
-    // All keys of this /24 are the contiguous range [block<<16, block+1<<16);
-    // rows are key-sorted, so the result is already location-ordered.
-    const Key lo = static_cast<Key>(block.block) << 16;
-    const auto first =
-        std::lower_bound(cols->keys.begin(), cols->keys.end(), lo);
-    const auto last = std::lower_bound(first, cols->keys.end(),
-                                       lo + (Key{1} << 16));
-    for (auto it = first; it != last; ++it) {
-      out.push_back(
-          cols->row(static_cast<std::size_t>(it - cols->keys.begin())));
-    }
-    return out;
-  }
   const auto shard = shards_[shard_of(block)].load();
   for (const auto& [key, v] : *shard) {
     if (v.block == block) out.push_back(v);
@@ -550,21 +415,10 @@ std::vector<Verdict> VerdictStore::lookup(net::Slash24 block) const {
 std::vector<Verdict> VerdictStore::lookup(net::Prefix prefix) const {
   obs::add(lookups_c_);
   std::vector<Verdict> out;
-  if (columnar()) {
-    for (const auto& slot : cshards_) {
-      const auto cols = slot.load();
-      for (std::size_t i = 0; i < cols->rows(); ++i) {
-        const net::Slash24 block{static_cast<std::uint32_t>(cols->keys[i] >>
-                                                            16)};
-        if (prefix.contains(block)) out.push_back(cols->row(i));
-      }
-    }
-  } else {
-    for (const auto& shard_slot : shards_) {
-      const auto shard = shard_slot.load();
-      for (const auto& [key, v] : *shard) {
-        if (prefix.contains(v.block)) out.push_back(v);
-      }
+  for (const auto& shard_slot : shards_) {
+    const auto shard = shard_slot.load();
+    for (const auto& [key, v] : *shard) {
+      if (prefix.contains(v.block)) out.push_back(v);
     }
   }
   std::sort(out.begin(), out.end(), [](const Verdict& a, const Verdict& b) {
@@ -594,19 +448,11 @@ VerdictStore::Health VerdictStore::health() const {
 }
 
 std::size_t VerdictStore::verdict_state_bytes() const {
+  // The working map AND its latest published copy are both resident.
   std::size_t n = 0;
-  if (columnar()) {
-    for (std::size_t i = 0; i < delta_.size(); ++i) {
-      n += delta_[i].size() *
-           (sizeof(std::pair<const Key, Verdict>) + kHashNodeOverhead);
-      n += ccur_[i]->bytes();  // working state == published snapshot
-    }
-  } else {
-    // The working map AND its latest published copy are both resident.
-    for (const auto& shard : work_) {
-      n += 2 * shard.size() *
-           (sizeof(std::pair<const Key, Verdict>) + kHashNodeOverhead);
-    }
+  for (const auto& shard : work_) {
+    n += 2 * shard.size() *
+         (sizeof(std::pair<const Key, Verdict>) + kHashNodeOverhead);
   }
   return n;
 }
@@ -622,33 +468,14 @@ void VerdictStore::save_state(store::SnapshotWriter& writer) const {
   store::put_svarint(out, timeline->health.last_step.minutes);
   store::put_varint(out, timeline->health.degraded ? 1 : 0);
 
-  // Verdict rows in a backend-independent normal form: globally key-sorted,
+  // Verdict rows in a layout-free normal form: globally key-sorted,
   // column-major. (Keys are unique across shards, so a flat sort is exact.)
   std::vector<std::pair<Key, Verdict>> rows;
-  if (columnar()) {
-    for (std::size_t i = 0; i < ccur_.size(); ++i) {
-      const VerdictColumns& cols = *ccur_[i];
-      for (std::size_t r = 0; r < cols.rows(); ++r) {
-        rows.emplace_back(cols.keys[r], cols.row(r));
-      }
-      for (const auto& [key, v] : delta_[i]) rows.emplace_back(key, v);
-    }
-  } else {
-    for (const auto& shard : work_) {
-      for (const auto& [key, v] : shard) rows.emplace_back(key, v);
-    }
+  for (const auto& shard : work_) {
+    for (const auto& [key, v] : shard) rows.emplace_back(key, v);
   }
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  // A delta row shadows the block row with the same key (columnar only):
-  // keep the later of equal keys... deltas are only non-empty between
-  // fold_blames and publish, and save_state runs between publishes, so in
-  // practice both sets are disjoint-or-empty; dedupe defensively anyway.
-  rows.erase(std::unique(rows.begin(), rows.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first == b.first;
-                         }),
-             rows.end());
 
   store::put_varint(out, rows.size());
   Key prev = 0;
@@ -787,29 +614,13 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   closed_ = std::move(closed);
   diagnoses_ = std::move(diagnoses);
 
-  if (columnar()) {
-    std::vector<std::shared_ptr<VerdictColumns>> next(cshards_.size());
-    for (auto& cols : next) cols = std::make_shared<VerdictColumns>();
-    // The global key sort survives the shard split (per-shard subsequences
-    // stay sorted), so a straight append per shard builds valid blocks.
-    for (std::size_t r = 0; r < keys.size(); ++r) {
-      const net::Slash24 block{static_cast<std::uint32_t>(keys[r] >> 16)};
-      next[shard_of(block)]->append(keys[r], verdicts[r]);
-    }
-    for (std::size_t i = 0; i < cshards_.size(); ++i) {
-      delta_[i].clear();
-      ccur_[i] = std::move(next[i]);
-      cshards_[i].store(ccur_[i]);
-    }
-  } else {
-    for (auto& shard : work_) shard.clear();
-    for (std::size_t r = 0; r < keys.size(); ++r) {
-      work_[shard_of(verdicts[r].block)].emplace(keys[r], verdicts[r]);
-    }
-    for (std::size_t i = 0; i < work_.size(); ++i) {
-      shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
-      dirty_[i] = false;
-    }
+  for (auto& shard : work_) shard.clear();
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    work_[shard_of(verdicts[r].block)].emplace(keys[r], verdicts[r]);
+  }
+  for (std::size_t i = 0; i < work_.size(); ++i) {
+    shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
+    dirty_[i] = false;
   }
   publish_restored_timeline(util::MinuteTime{last_step_minutes}, degraded);
   obs::set(verdicts_g_, static_cast<double>(keys.size()));

@@ -38,7 +38,6 @@
 #include "core/pipeline.h"
 #include "net/ipv4.h"
 #include "obs/registry.h"
-#include "store/reservoir_store.h"
 #include "store/snapshot.h"
 #include "util/time.h"
 
@@ -141,12 +140,6 @@ class VerdictStore {
     std::size_t max_closed_incidents = 1024;
     /// Recent diagnoses kept for /v1/diagnoses (newest win).
     std::size_t max_diagnoses = 256;
-    /// Which representation holds the live verdict rows. kHashMap keeps a
-    /// mutable working map per shard plus an immutable published copy (the
-    /// reference path); kColumnar keeps one immutable sorted column block
-    /// per shard that doubles as the published snapshot — no copy on
-    /// publish, roughly 3-4x less steady-state memory per verdict.
-    store::StateBackend backend = store::StateBackend::kHashMap;
     obs::Registry* registry = nullptr;
   };
 
@@ -195,47 +188,23 @@ class VerdictStore {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Approximate bytes held by the live verdict rows (working state plus
-  /// published snapshots; excludes incident/diagnosis rings, which both
-  /// backends share). Publisher-thread only.
+  /// published snapshots; excludes incident/diagnosis rings). Publisher-
+  /// thread only.
   [[nodiscard]] std::size_t verdict_state_bytes() const;
 
   /// Writes the full store state as snapshot section "verdicts" (verdict
-  /// rows in a backend-independent key-sorted normal form, plus incident
-  /// runs, diagnosis ring, and health counters). Publisher-thread only.
+  /// rows in a key-sorted column-major normal form, plus incident runs,
+  /// diagnosis ring, and health counters). Publisher-thread only.
   void save_state(store::SnapshotWriter& writer) const;
   /// Replaces the store state from a snapshot and republishes reader
-  /// snapshots. Works across backends (the normal form carries no layout).
-  /// Publisher-thread only; concurrent readers see either the old or the
-  /// fully-restored state per shard.
+  /// snapshots. Publisher-thread only; concurrent readers see either the old
+  /// or the fully-restored state per shard.
   void restore_state(const store::SnapshotReader& reader);
 
  private:
   using Key = std::uint64_t;  // block << 16 | location
   using ShardMap = std::unordered_map<Key, Verdict>;
   using ShardPtr = std::shared_ptr<const ShardMap>;
-
-  /// One shard's verdicts as immutable parallel columns sorted by key.
-  /// ~43 bytes/row vs ~130+ for an unordered_map node of Verdict, and the
-  /// publisher's working state IS the published snapshot (no copy).
-  struct VerdictColumns {
-    std::vector<Key> keys;  // sorted; block = key >> 16, location = low 16
-    std::vector<std::uint32_t> middles;
-    std::vector<std::uint32_t> client_ases;
-    std::vector<std::uint8_t> blames;
-    std::vector<std::uint32_t> faulty_ases;  // AsId + 1; 0 = none
-    std::vector<std::uint8_t> confidences;
-    std::vector<std::uint8_t> flags;  // bit0 from_active, bit1 predates,
-                                      // bits2-3 BaselineGrade
-    std::vector<std::int64_t> buckets;
-    std::vector<double> mean_rtts;
-    std::vector<std::int32_t> sample_counts;
-    std::int64_t min_bucket = INT64_MAX;  // aging fast-path
-
-    [[nodiscard]] std::size_t rows() const noexcept { return keys.size(); }
-    [[nodiscard]] std::size_t bytes() const noexcept;
-    void append(Key key, const Verdict& v);
-    [[nodiscard]] Verdict row(std::size_t i) const;
-  };
 
   /// Everything non-sharded, swapped as one snapshot.
   struct Timeline {
@@ -256,16 +225,9 @@ class VerdictStore {
     return static_cast<std::size_t>(x) % shards_.size();
   }
 
-  [[nodiscard]] bool columnar() const noexcept {
-    return config_.backend == store::StateBackend::kColumnar;
-  }
-
   void fold_blames(const core::StepReport& report);
   void fold_incidents(const core::StepReport& report);
   void publish_timeline(const core::StepReport& report);
-  /// Merges a shard's pending delta into its column block and ages expired
-  /// rows; publishes the new block (which is also the new working state).
-  void rebuild_columnar_shard(std::size_t i, std::int64_t horizon);
   void publish_restored_timeline(util::MinuteTime last_step, bool degraded);
 
   Config config_;
@@ -273,10 +235,6 @@ class VerdictStore {
   // Publisher-private working state (only the publish thread touches it).
   std::vector<ShardMap> work_;           // mutable mirror of the shards
   std::vector<bool> dirty_;              // which shards changed this publish
-  // Columnar backend: per-shard pending upserts and the current immutable
-  // block (the same shared_ptr the reader slot holds).
-  std::vector<ShardMap> delta_;
-  std::vector<std::shared_ptr<const VerdictColumns>> ccur_;
   util::TimeBucket newest_bucket_{0};
 
   struct OpenRun {
@@ -291,7 +249,6 @@ class VerdictStore {
 
   // Shared state (publisher swaps, readers load).
   std::vector<SnapshotSlot<const ShardMap>> shards_;
-  std::vector<SnapshotSlot<const VerdictColumns>> cshards_;
   SnapshotSlot<const Timeline> timeline_;
   std::atomic<std::uint64_t> epoch_{0};
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace blameit::analysis {
 namespace {
@@ -123,20 +126,22 @@ TEST(ExpectedRttLearner, CacheInvalidatedByEvictStale) {
 }
 
 TEST(ExpectedRttLearner, MemoizationDoesNotChangeResults) {
-  ExpectedRttConfig cached_cfg;
-  ExpectedRttConfig uncached_cfg;
-  uncached_cfg.memoize_medians = false;
-  ExpectedRttLearner cached{cached_cfg};
-  ExpectedRttLearner uncached{uncached_cfg};
+  // One learner answers every query from its (repeatedly warmed and
+  // invalidated) cache; each answer must equal a cold learner fed the same
+  // observations and asked only that one query, so its cache is never warm.
+  ExpectedRttLearner cached;
+  std::vector<std::pair<int, double>> fed;  // (day, rtt) in feed order
   util::Rng rng{11};
   for (int day = 0; day < 6; ++day) {
     for (int i = 0; i < 400; ++i) {  // overflows the reservoir too
       const double rtt = rng.uniform(20.0, 90.0);
       cached.observe(kKey, day, rtt);
-      uncached.observe(kKey, day, rtt);
+      fed.emplace_back(day, rtt);
     }
     for (int q = 0; q <= day + 1; ++q) {
-      ASSERT_EQ(cached.expected(kKey, q), uncached.expected(kKey, q))
+      ExpectedRttLearner cold;
+      for (const auto& [d, rtt] : fed) cold.observe(kKey, d, rtt);
+      ASSERT_EQ(cached.expected(kKey, q), cold.expected(kKey, q))
           << "day " << day << " query " << q;
     }
   }
@@ -221,20 +226,19 @@ TEST(ExpectedRttLearner, WorkedExampleFromPaper) {
   EXPECT_NEAR(bad_by_target / 3000.0, 2.0 / 3.0, 0.05);
 }
 
-// --- Columnar backend: bit-identical to the hash-map reference path. ---
+// --- Snapshot save/restore. ---
 
-ExpectedRttConfig backend_config(store::StateBackend backend) {
+ExpectedRttConfig small_config() {
   ExpectedRttConfig cfg;
-  cfg.backend = backend;
   cfg.reservoir_per_day = 8;  // small cap so Algorithm R actually evicts
   cfg.window_days = 3;        // short window so evict_stale() really drops
   return cfg;
 }
 
-/// Feeds both backends the identical day-ordered stream: many keys, sample
-/// counts past the reservoir cap (so slot arithmetic matters), day gaps,
-/// and an eviction partway through.
-void parity_feed(ExpectedRttLearner& learner) {
+/// A day-ordered stream over many keys: sample counts past the reservoir
+/// cap (so slot arithmetic matters), day gaps, and an eviction partway
+/// through.
+void churny_feed(ExpectedRttLearner& learner) {
   for (int day = 0; day < 20; ++day) {
     if (day == 7) continue;  // a silent day
     for (int k = 0; k < 6; ++k) {
@@ -250,73 +254,71 @@ void parity_feed(ExpectedRttLearner& learner) {
   }
 }
 
-TEST(ExpectedRttBackends, ColumnarMatchesHashMapBitForBit) {
-  ExpectedRttLearner hash{backend_config(store::StateBackend::kHashMap)};
-  ExpectedRttLearner columnar{backend_config(store::StateBackend::kColumnar)};
-  parity_feed(hash);
-  parity_feed(columnar);
+TEST(ExpectedRttSnapshot, SaveRestoreRoundTrips) {
+  ExpectedRttLearner learner{small_config()};
+  churny_feed(learner);
 
-  EXPECT_EQ(hash.tracked_keys(), columnar.tracked_keys());
+  store::SnapshotWriter writer;
+  learner.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+
+  ExpectedRttLearner restored{small_config()};
+  restored.restore_state(reader);
+  EXPECT_EQ(restored.tracked_keys(), learner.tracked_keys());
   for (int k = 0; k < 6; ++k) {
     const auto key = middle_key(net::CloudLocationId{7},
                                 net::MiddleSegmentId{(unsigned)k},
                                 net::DeviceClass::NonMobile);
-    for (int day = 0; day <= 21; ++day) {
-      const auto h = hash.expected(key, day);
-      const auto c = columnar.expected(key, day);
-      ASSERT_EQ(h.has_value(), c.has_value()) << "key " << k << " day " << day;
-      if (h) {
-        // Bit-level equality, not near: both backends must pool the same
-        // samples in the same order.
-        EXPECT_EQ(*h, *c) << "key " << k << " day " << day;
-      }
-      EXPECT_EQ(hash.history_size(key, day), columnar.history_size(key, day));
+    for (int day = 18; day <= 21; ++day) {
+      EXPECT_EQ(learner.expected(key, day), restored.expected(key, day))
+          << "key " << k << " day " << day;
     }
   }
 }
 
-TEST(ExpectedRttBackends, EvictStaleParityAfterChurn) {
-  ExpectedRttLearner hash{backend_config(store::StateBackend::kHashMap)};
-  ExpectedRttLearner columnar{backend_config(store::StateBackend::kColumnar)};
-  const auto churned = cloud_key(net::CloudLocationId{1},
-                                 net::DeviceClass::Mobile);
-  const auto steady = cloud_key(net::CloudLocationId{2},
-                                net::DeviceClass::Mobile);
-  for (auto* learner : {&hash, &columnar}) {
-    learner->observe(churned, 0, 11.0);
-    for (int day = 0; day < 10; ++day) learner->observe(steady, day, 22.0);
-    learner->evict_stale(8);  // churned key's only reservoir expires
-  }
-  EXPECT_EQ(hash.tracked_keys(), 1u);
-  EXPECT_EQ(columnar.tracked_keys(), 1u);
-  EXPECT_FALSE(columnar.expected(churned, 10).has_value());
-  EXPECT_EQ(hash.expected(steady, 10), columnar.expected(steady, 10));
+/// A snapshot whose "learner" section is laid out by hand: payload format 2,
+/// the given layout tag, one key with one single-sample reservoir, no
+/// transfers.
+std::string handmade_learner_snapshot(std::uint64_t layout_tag) {
+  store::SnapshotWriter writer;
+  std::string& out = writer.section("learner");
+  store::put_varint(out, 2);  // payload format
+  store::put_varint(out, layout_tag);
+  store::put_varint(out, 1);  // key count
+  store::put_varint(out, kKey.packed);
+  store::put_varint(out, 1);   // reservoirs
+  store::put_svarint(out, 4);  // day
+  store::put_varint(out, 1);   // seen
+  store::put_varint(out, 1);   // samples
+  store::put_f64(out, 42.5);
+  store::put_varint(out, 0);  // transfers
+  return writer.serialize();
 }
 
-TEST(ExpectedRttBackends, SaveRestoreRoundTripsEachBackend) {
-  for (const auto backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    ExpectedRttLearner learner{backend_config(backend)};
-    parity_feed(learner);
+TEST(ExpectedRttSnapshot, HashMapLayoutTagStillRestores) {
+  const auto reader = store::SnapshotReader::from_bytes(
+      handmade_learner_snapshot(0), "<tag0>");
+  ExpectedRttLearner learner;
+  learner.restore_state(reader);
+  EXPECT_EQ(learner.tracked_keys(), 1u);
+  EXPECT_EQ(learner.expected(kKey, 5), 42.5);
+}
 
-    store::SnapshotWriter writer;
-    learner.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
-
-    ExpectedRttLearner restored{backend_config(backend)};
-    restored.restore_state(reader);
-    EXPECT_EQ(restored.tracked_keys(), learner.tracked_keys());
-    for (int k = 0; k < 6; ++k) {
-      const auto key = middle_key(net::CloudLocationId{7},
-                                  net::MiddleSegmentId{(unsigned)k},
-                                  net::DeviceClass::NonMobile);
-      for (int day = 18; day <= 21; ++day) {
-        EXPECT_EQ(learner.expected(key, day), restored.expected(key, day))
-            << to_string(backend) << " key " << k << " day " << day;
-      }
-    }
+TEST(ExpectedRttSnapshot, ColumnarLayoutTagIsRejectedByName) {
+  const auto reader = store::SnapshotReader::from_bytes(
+      handmade_learner_snapshot(1), "<tag1>");
+  ExpectedRttLearner learner;
+  try {
+    learner.restore_state(reader);
+    FAIL() << "expected SnapshotError";
+  } catch (const store::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("learner"), std::string::npos) << what;
+    EXPECT_NE(what.find("columnar"), std::string::npos) << what;
+    EXPECT_NE(what.find("no longer readable"), std::string::npos) << what;
   }
+  EXPECT_EQ(learner.tracked_keys(), 0u);  // nothing half-restored
 }
 
 // --- §13 churn-aware baseline transfer ---------------------------------
@@ -420,31 +422,27 @@ TEST(BaselineTransfer, ChainedTransferCompoundsDiscount) {
 }
 
 TEST(BaselineTransfer, SnapshotParityOfTransferredProvenance) {
-  // Transferred provenance must survive snapshot/restore bit-identically on
-  // BOTH state backends.
-  for (const auto backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    ExpectedRttLearner learner{backend_config(backend)};
-    for (int day = 0; day < 3; ++day) {
-      for (int i = 0; i < 4; ++i) learner.observe(kOldPath, day, 44.0);
-    }
-    ASSERT_TRUE(learner.transfer_baseline(kOldPath, kNewPath, 3));
-
-    store::SnapshotWriter writer;
-    learner.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
-    ExpectedRttLearner restored{backend_config(backend)};
-    restored.restore_state(reader);
-
-    EXPECT_EQ(restored.transfer_count(), 1u) << to_string(backend);
-    const auto before = learner.expected_with_provenance(kNewPath, 3);
-    const auto after = restored.expected_with_provenance(kNewPath, 3);
-    ASSERT_TRUE(after.value.has_value()) << to_string(backend);
-    EXPECT_EQ(*before.value, *after.value) << to_string(backend);
-    EXPECT_EQ(after.provenance, BaselineProvenance::kTransferred);
-    EXPECT_TRUE(restored.recently_churned(kNewPath, 3));
+  // Transferred provenance must survive snapshot/restore bit-identically.
+  ExpectedRttLearner learner{small_config()};
+  for (int day = 0; day < 3; ++day) {
+    for (int i = 0; i < 4; ++i) learner.observe(kOldPath, day, 44.0);
   }
+  ASSERT_TRUE(learner.transfer_baseline(kOldPath, kNewPath, 3));
+
+  store::SnapshotWriter writer;
+  learner.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+  ExpectedRttLearner restored{small_config()};
+  restored.restore_state(reader);
+
+  EXPECT_EQ(restored.transfer_count(), 1u);
+  const auto before = learner.expected_with_provenance(kNewPath, 3);
+  const auto after = restored.expected_with_provenance(kNewPath, 3);
+  ASSERT_TRUE(after.value.has_value());
+  EXPECT_EQ(*before.value, *after.value);
+  EXPECT_EQ(after.provenance, BaselineProvenance::kTransferred);
+  EXPECT_TRUE(restored.recently_churned(kNewPath, 3));
 }
 
 }  // namespace

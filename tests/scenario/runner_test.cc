@@ -54,9 +54,9 @@ constexpr const char* kChaosPack = R"({
   ]
 })";
 
-// Restart pack: a tiny run with an incident in flight at the restart step,
-// on the columnar backend. run_pack executes it twice (uninterrupted +
-// snapshot/kill/restore) and must find the digests bit-identical.
+// Restart pack: a tiny run with an incident in flight at the restart step.
+// run_pack executes it twice (uninterrupted + snapshot/kill/restore) and
+// must find the digests bit-identical.
 constexpr const char* kRestartPack = R"({
   "name": "restart_probe",
   "mode": "aggregates",
@@ -69,8 +69,7 @@ constexpr const char* kRestartPack = R"({
     "blocks_per_eyeball": 8
   },
   "pipeline": {
-    "expected_rtt_window_days": 1,
-    "state_backend": "columnar"
+    "expected_rtt_window_days": 1
   },
   "restart": { "at": "1d03:00" },
   "incidents": [

@@ -292,12 +292,12 @@ TEST(VerdictStoreTest, ConcurrentReadersNeverBlockOrTear) {
   EXPECT_GT(lookups.load(), 0u);
 }
 
-// --- Columnar backend: identical answers, bounded memory, save/restore. ---
+// --- Snapshot save/restore. ---
 
 /// A publish sequence exercising every row-state transition: inserts,
 /// same-key updates, active upgrades, aging past retention, and incident
-/// open/extend/close — fed identically to both backends.
-void parity_publish(VerdictStore& store) {
+/// open/extend/close.
+void publish_every_transition(VerdictStore& store) {
   store.publish(make_report(
       10, {make_blame(1, 1, 10, core::Blame::Cloud),
            make_blame(2, 1, 10, core::Blame::Client),
@@ -350,57 +350,27 @@ void expect_same_answers(const VerdictStore& a, const VerdictStore& b) {
   EXPECT_EQ(a.recent_diagnoses().size(), b.recent_diagnoses().size());
 }
 
-TEST(VerdictStoreBackends, ColumnarMatchesHashMapIncludingAging) {
-  VerdictStore hash{{.verdict_retention_buckets = 4,
-                     .backend = store::StateBackend::kHashMap}};
-  VerdictStore columnar{{.verdict_retention_buckets = 4,
-                         .backend = store::StateBackend::kColumnar}};
-  parity_publish(hash);
-  parity_publish(columnar);
-  expect_same_answers(hash, columnar);
+TEST(VerdictStoreTest, SaveRestoreRoundTrips) {
+  VerdictStore original{{.verdict_retention_buckets = 8}};
+  publish_every_transition(original);
 
-  // Aging applied: bucket-10/11 rows are past 16 - 4.
-  EXPECT_FALSE(
-      columnar.lookup(net::Slash24{1}, net::CloudLocationId{1}).has_value());
+  store::SnapshotWriter writer;
+  original.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+
+  VerdictStore restored{{.verdict_retention_buckets = 8}};
+  restored.restore_state(reader);
+  expect_same_answers(original, restored);
+  EXPECT_EQ(restored.epoch(), original.epoch());
+  EXPECT_EQ(restored.health().steps, original.health().steps);
+  EXPECT_EQ(restored.verdict_state_bytes(), original.verdict_state_bytes());
+
+  // The restored store continues accepting publishes.
+  restored.publish(
+      make_report(17, {make_blame(5, 1, 17, core::Blame::Cloud)}));
   EXPECT_TRUE(
-      columnar.lookup(net::Slash24{2}, net::CloudLocationId{1}).has_value());
-  // Both backends account their state; the columnar-undercuts-hash ratio
-  // only materialises at scale (block overheads dominate a handful of
-  // rows), so bench_scale owns that gate — here both must just be honest.
-  EXPECT_GT(columnar.verdict_state_bytes(), 0u);
-  EXPECT_GT(hash.verdict_state_bytes(), 0u);
-}
-
-TEST(VerdictStoreBackends, SaveRestoreRoundTripsAndCrossesBackends) {
-  // The snapshot normal form is backend-independent: save from one backend,
-  // restore into either, and every query must answer the same.
-  for (const auto save_backend :
-       {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-    VerdictStore original{{.verdict_retention_buckets = 8,
-                           .backend = save_backend}};
-    parity_publish(original);
-
-    store::SnapshotWriter writer;
-    original.save_state(writer);
-    const auto reader =
-        store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
-
-    for (const auto restore_backend :
-         {store::StateBackend::kHashMap, store::StateBackend::kColumnar}) {
-      VerdictStore restored{{.verdict_retention_buckets = 8,
-                             .backend = restore_backend}};
-      restored.restore_state(reader);
-      expect_same_answers(original, restored);
-      EXPECT_EQ(restored.epoch(), original.epoch());
-      EXPECT_EQ(restored.health().steps, original.health().steps);
-
-      // The restored store continues accepting publishes.
-      restored.publish(
-          make_report(17, {make_blame(5, 1, 17, core::Blame::Cloud)}));
-      EXPECT_TRUE(restored.lookup(net::Slash24{5}, net::CloudLocationId{1})
-                      .has_value());
-    }
-  }
+      restored.lookup(net::Slash24{5}, net::CloudLocationId{1}).has_value());
 }
 
 }  // namespace
