@@ -102,7 +102,6 @@ std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
   const auto it = histories_.find(key);
   if (it == histories_.end()) return std::nullopt;
   const KeyHistory& history = it->second;
-  std::lock_guard lock{cache_mutex_};
   if (history.cache_day != day) {
     obs::add(memo_misses_c_);
     history.cache_value = pooled_median(history, day);

@@ -16,17 +16,14 @@
 // the cached query day lies ahead of the observation day) and by
 // evict_stale() whenever it drops reservoirs.
 //
-// Threading contract: observe(), evict_stale(), save_state(), and
-// restore_state() must be externally serialized with all other calls;
-// expected() and history_size() may run concurrently with each other (the
-// parallel passive localizer does this).
+// Threading contract: all calls externally serialized — even expected(),
+// which fills the memo.
 #pragma once
 
 #include <climits>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -108,9 +105,7 @@ class ExpectedRttLearner {
 
   /// expected() plus provenance: the key's own window median when it has
   /// one (kFresh), else a live transferred baseline with the freshness
-  /// discount applied (kTransferred), else {nullopt, kNone}. Thread-safe
-  /// like expected() — the transfer table only changes under the external
-  /// serialization contract.
+  /// discount applied (kTransferred), else {nullopt, kNone}.
   [[nodiscard]] GradedExpectation expected_with_provenance(ExpectedRttKey key,
                                                            int day) const;
 
@@ -164,8 +159,8 @@ class ExpectedRttLearner {
   };
   struct KeyHistory {
     std::deque<DayReservoir> days;  // ascending by day
-    // Memoized expected() result for query day cache_day (guarded by
-    // cache_mutex_; mutable because filling the cache is logically const).
+    // Memoized expected() result for query day cache_day (mutable because
+    // filling the cache is logically const).
     mutable int cache_day = INT_MIN;
     mutable std::optional<double> cache_value;
   };
@@ -196,7 +191,6 @@ class ExpectedRttLearner {
   /// Key → inherited baseline. std::map: deterministic iteration order makes
   /// the snapshot bytes reproducible.
   std::map<std::uint64_t, TransferEntry> transfers_;
-  mutable std::mutex cache_mutex_;
 
   // Instruments (null without a registry).
   obs::Counter* memo_hits_c_ = nullptr;

@@ -46,8 +46,8 @@ struct Quartet {
   net::Region region{};
   bool bad = false;  ///< mean RTT above the badness threshold
 
-  /// Exact (bit-level for the mean) equality; the parallel-localizer
-  /// determinism tests rely on this.
+  /// Exact (bit-level for the mean) equality; the localizer's differential
+  /// test relies on this.
   bool operator==(const Quartet&) const = default;
 };
 

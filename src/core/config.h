@@ -18,11 +18,6 @@ struct BlameItConfig {
   /// Days of history behind each expected-RTT median (§4.3).
   int expected_rtt_window_days = 14;
 
-  /// Worker threads for the passive analytics phase (Algorithm 1 sharded by
-  /// cloud location). 1 = serial, 0 = one per hardware core. Output is
-  /// bit-identical for every value — this is purely a throughput knob.
-  int analytics_threads = 1;
-
   /// How often the passive job runs (§6.1: every 15 minutes).
   int cadence_minutes = 15;
 

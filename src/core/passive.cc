@@ -1,23 +1,31 @@
 #include "core/passive.h"
 
-#include <algorithm>
+#include <bit>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace blameit::core {
 
 namespace {
 
-struct GroupStats {
+/// One cloud or middle group of a bucket: the counts behind its bad
+/// fraction and the expectation they compare against.
+struct Group {
   int quartets = 0;
-  int bad_vs_expected = 0;  ///< quartets whose mean exceeds the expected RTT
+  int bad_vs_expected = 0;  ///< quartets whose mean exceeds `expected`
   // Un-shielded subgroup (cloud groups only, maintained only while a steer
   // shield is active): the group's evidence minus the quartets a SteerShift
   // event just moved in. For a group with no shielded members these equal
   // the full counters.
   int unshielded_quartets = 0;
   int unshielded_bad = 0;
+  double expected = 0.0;
+  /// `expected` came from a transferred baseline (drives BlameResult::grade).
+  bool transferred = false;
+  /// A churn event recently re-routed traffic onto the group's key
+  /// (soft-badness corroboration).
+  bool churned = false;
 
   [[nodiscard]] double bad_fraction() const noexcept {
     return quartets == 0
@@ -29,16 +37,31 @@ struct GroupStats {
                ? 0.0
                : static_cast<double>(unshielded_bad) / unshielded_quartets;
   }
+  [[nodiscard]] BaselineGrade grade() const noexcept {
+    return transferred ? BaselineGrade::Transferred : BaselineGrade::Fresh;
+  }
 };
 
-/// A group's comparison value plus whether it came from a transferred
-/// baseline (drives BlameResult::grade) and whether a churn event recently
-/// re-routed traffic onto the group's key (soft-badness corroboration).
-struct Comparison {
-  double value = 0.0;
-  bool transferred = false;
-  bool churned = false;
-};
+/// Sets `g`'s expected RTT. Prefers the learned 14-day median; with
+/// `churn_aware` (churn_baseline_transfer) on, a live transferred baseline
+/// (already discounted) comes next; before any history accrues, `fallback`,
+/// the region target (deployment bootstrap; also exercised by the
+/// expected-RTT ablation bench).
+void set_expected(Group& g, const analysis::ExpectedRttLearner& learner,
+                  bool churn_aware, analysis::ExpectedRttKey key, int day,
+                  double fallback) {
+  std::optional<double> value;
+  if (churn_aware) {
+    const auto graded = learner.expected_with_provenance(key, day);
+    value = graded.value;
+    g.transferred =
+        graded.provenance == analysis::BaselineProvenance::kTransferred;
+    g.churned = learner.recently_churned(key, day);
+  } else {
+    value = learner.expected(key, day);
+  }
+  g.expected = value.value_or(fallback);
+}
 
 std::uint64_t cloud_group(const analysis::Quartet& q) noexcept {
   return (std::uint64_t{q.key.location.value} << 8) |
@@ -52,25 +75,100 @@ std::uint64_t middle_group(const analysis::Quartet& q) noexcept {
          static_cast<std::uint64_t>(q.key.device);
 }
 
-/// Pass-1 accumulator for one location shard. Group keys embed the location,
-/// so no group (and no learner key) is ever shared between shards; only the
-/// per-/24 good-location sets need a cross-shard merge.
-struct ShardState {
-  std::unordered_map<std::uint64_t, GroupStats> groups;
-  /// block -> locations where it saw a *good* (below threshold) quartet.
-  std::unordered_map<std::uint32_t, std::unordered_set<std::uint16_t>>
-      good_locations;
-  /// Comparison RTTs per group so the learner is consulted once per group.
-  std::unordered_map<std::uint64_t, Comparison> comparison_cache;
+/// Where a /24 saw good quartets this bucket: the first such location, and
+/// whether a different one followed.
+struct GoodAt {
+  std::uint16_t first = 0;
+  bool multi = false;
+};
+
+/// Open-addressing (linear probing) map from a 64-bit key to a V, with the
+/// values stored densely in insertion order. Built to be reused: clear() is
+/// O(1) (slots from earlier fills go stale by epoch), and the slot array
+/// only grows, at load <= 1/2, to fit the most keys one fill has held.
+template <typename V>
+class FlatTable {
+ public:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  void clear() {
+    values_.clear();
+    if (++epoch_ == 0) {  // wrapped: old stamps could read as live
+      for (auto& slot : slots_) slot.epoch = 0;
+      epoch_ = 1;
+    }
+  }
+
+  /// Position of `key`'s value; a new key gets a default value (and true).
+  std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
+    if (2 * (values_.size() + 1) > slots_.size()) grow();
+    Slot& slot = probe(key);
+    if (slot.epoch == epoch_) return {slot.pos, false};
+    slot = Slot{key, static_cast<std::uint32_t>(values_.size()), epoch_};
+    values_.emplace_back();
+    return {slot.pos, true};
+  }
+
+  /// Position of `key`'s value, or kAbsent.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) {
+    if (slots_.empty()) return kAbsent;
+    const Slot& slot = probe(key);
+    return slot.epoch == epoch_ ? slot.pos : kAbsent;
+  }
+
+  V& operator[](std::uint32_t pos) { return values_[pos]; }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint32_t pos = 0;
+    std::uint32_t epoch = 0;  ///< live iff equal to the table's epoch_
+  };
+
+  /// The live slot holding `key`, else the free slot where it belongs.
+  /// Fibonacci hashing (the top bits of key * 2^64/φ), then linear probing.
+  Slot& probe(std::uint64_t key) {
+    auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (slots_[i].epoch == epoch_ && slots_[i].key != key) {
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (const Slot& slot : old) {
+      if (slot.epoch == epoch_) probe(slot.key) = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  ///< power-of-two size
+  std::vector<V> values_;
+  std::uint32_t epoch_ = 1;
+  int shift_ = 64;
 };
 
 }  // namespace
+
+struct PassiveLocalizer::Scratch {
+  FlatTable<Group> groups;  ///< keyed by cloud_group / middle_group
+  FlatTable<GoodAt> good;   ///< keyed by /24 block; good quartets only
+  /// Per quartet: positions of its cloud and middle group in `groups`.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> group_of;
+};
+
+PassiveLocalizer::~PassiveLocalizer() = default;
 
 PassiveLocalizer::PassiveLocalizer(
     const net::Topology* topology,
     const analysis::ExpectedRttLearner* learner, BlameItConfig config,
     obs::Registry* registry)
-    : topology_(topology), learner_(learner), config_(config) {
+    : topology_(topology),
+      learner_(learner),
+      config_(config),
+      scratch_(std::make_unique<Scratch>()) {
   if (!topology_ || !learner_) {
     throw std::invalid_argument{"PassiveLocalizer: null dependency"};
   }
@@ -78,14 +176,7 @@ PassiveLocalizer::PassiveLocalizer(
       config_.min_group_quartets < 1) {
     throw std::invalid_argument{"BlameItConfig: invalid tau or min quartets"};
   }
-  if (config_.analytics_threads < 0) {
-    throw std::invalid_argument{"BlameItConfig: negative analytics_threads"};
-  }
-  const int threads =
-      util::ThreadPool::resolve_threads(config_.analytics_threads);
-  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
   localize_ms_h_ = obs::histogram(registry, "passive.localize_ms");
-  shard_imbalance_g_ = obs::gauge(registry, "passive.shard_imbalance");
   for (std::size_t i = 0; i < kAllBlames.size(); ++i) {
     blame_c_[i] = obs::counter(
         registry,
@@ -96,17 +187,10 @@ PassiveLocalizer::PassiveLocalizer(
 double PassiveLocalizer::comparison_rtt(analysis::ExpectedRttKey key, int day,
                                         net::Region region,
                                         net::DeviceClass device) const {
-  // Prefer the learned 14-day median; with churn_baseline_transfer on, a
-  // live transferred baseline (already discounted) comes next; before any
-  // history accrues, fall back to the region target (deployment bootstrap;
-  // also exercised by the expected-RTT ablation bench).
-  if (config_.churn_baseline_transfer) {
-    const auto graded = learner_->expected_with_provenance(key, day);
-    if (graded.value) return *graded.value;
-    return thresholds_.threshold(region, device);
-  }
-  const auto learned = learner_->expected(key, day);
-  return learned ? *learned : thresholds_.threshold(region, device);
+  Group g;
+  set_expected(g, *learner_, config_.churn_baseline_transfer, key, day,
+               thresholds_.threshold(region, device));
+  return g.expected;
 }
 
 std::vector<BlameResult> PassiveLocalizer::localize(
@@ -114,208 +198,131 @@ std::vector<BlameResult> PassiveLocalizer::localize(
     const SteerShield* shield) const {
   const obs::ScopedTimer span{localize_ms_h_};
   const std::size_t n = quartets.size();
-  const auto nshards =
-      static_cast<std::size_t>(pool_ ? pool_->size() : 1);
   const bool shield_on = shield && !shield->empty();
-  const auto shielded = [&](const analysis::Quartet& q) {
-    return shield_on &&
-           shield->contains(steer_shield_key(q.key.location, q.key.block));
+  Scratch& s = *scratch_;
+  s.groups.clear();
+  s.good.clear();
+  s.group_of.resize(n);
+
+  // The learner is consulted once per group, on the group's first quartet
+  // in input order, whose region picks the threshold fallback.
+  const auto learn = [&](std::uint32_t group, analysis::ExpectedRttKey key,
+                         const analysis::Quartet& q) {
+    set_expected(s.groups[group], *learner_, config_.churn_baseline_transfer,
+                 key, day, thresholds_.threshold(q.region, q.key.device));
   };
 
-  // Partition quartet indices by cloud location. Location ids are dense, so
-  // a plain modulo spreads locations round-robin across shards.
-  std::vector<std::vector<std::uint32_t>> members(nshards);
-  for (auto& m : members) m.reserve(n / nshards + 1);
+  // Loop 1: group statistics against the learned expected RTTs, plus where
+  // each /24 was good for the ambiguity rule.
+  std::size_t bad = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    members[quartets[i].key.location.value % nshards].push_back(
-        static_cast<std::uint32_t>(i));
-  }
-
-  // Pass 1: per-shard group statistics against the learned expected RTTs,
-  // plus the per-/24 "good somewhere else" sets for the ambiguity rule.
-  std::vector<ShardState> shards(nshards);
-  const auto pass1 = [&](int s) {
-    auto& shard = shards[static_cast<std::size_t>(s)];
-    for (const auto idx : members[static_cast<std::size_t>(s)]) {
-      const auto& q = quartets[idx];
-      const auto ck = cloud_group(q);
-      const auto mk = middle_group(q);
-
-      const auto lookup = [&](std::uint64_t group,
-                              analysis::ExpectedRttKey key) {
-        const auto it = shard.comparison_cache.find(group);
-        if (it != shard.comparison_cache.end()) return it->second;
-        Comparison cmp;
-        if (config_.churn_baseline_transfer) {
-          const auto graded = learner_->expected_with_provenance(key, day);
-          if (graded.value) {
-            cmp.value = *graded.value;
-            cmp.transferred = graded.provenance ==
-                              analysis::BaselineProvenance::kTransferred;
-          } else {
-            cmp.value = thresholds_.threshold(q.region, q.key.device);
-          }
-          cmp.churned = learner_->recently_churned(key, day);
-        } else {
-          const auto learned = learner_->expected(key, day);
-          cmp.value = learned ? *learned
-                              : thresholds_.threshold(q.region, q.key.device);
-        }
-        shard.comparison_cache.emplace(group, cmp);
-        return cmp;
-      };
-      const auto cloud_cmp =
-          lookup(ck, analysis::cloud_key(q.key.location, q.key.device));
-      const auto middle_cmp = lookup(
-          mk, analysis::middle_key(q.key.location, q.middle, q.key.device));
-
-      // §4.2 subtlety: fractions count quartets, NOT RTT samples — a handful
-      // of high-volume "good" /24s must not mask widespread badness.
-      const bool cloud_bad = q.mean_rtt_ms > cloud_cmp.value;
-      auto& cg = shard.groups[ck];
-      ++cg.quartets;
-      cg.bad_vs_expected += cloud_bad;
-      if (shield_on && !shielded(q)) {
-        ++cg.unshielded_quartets;
-        cg.unshielded_bad += cloud_bad;
-      }
-
-      auto& mg = shard.groups[mk];
-      ++mg.quartets;
-      mg.bad_vs_expected += q.mean_rtt_ms > middle_cmp.value;
-
-      if (!q.bad) {
-        shard.good_locations[q.key.block.block].insert(q.key.location.value);
-      }
+    const auto& q = quartets[i];
+    const auto [c, new_cloud] = s.groups.insert(cloud_group(q));
+    if (new_cloud) {
+      learn(c, analysis::cloud_key(q.key.location, q.key.device), q);
     }
-  };
-  if (pool_) {
-    pool_->run(static_cast<int>(nshards), pass1);
-  } else {
-    pass1(0);
-  }
+    const auto [m, new_middle] = s.groups.insert(middle_group(q));
+    if (new_middle) {
+      learn(m, analysis::middle_key(q.key.location, q.middle, q.key.device),
+            q);
+    }
+    s.group_of[i] = {c, m};
 
-  // Shard imbalance: biggest shard relative to a perfect split. Persistently
-  // high values mean the location → shard modulo is clustering hot
-  // locations together and pass 1 is bottlenecked on one worker.
-  if (nshards > 1 && n > 0) {
-    std::size_t biggest = 0;
-    for (const auto& m : members) biggest = std::max(biggest, m.size());
-    obs::set_max(shard_imbalance_g_,
-                 static_cast<double>(biggest) * static_cast<double>(nshards) /
-                     static_cast<double>(n));
-  }
+    // §4.2 subtlety: fractions count quartets, NOT RTT samples — a handful
+    // of high-volume "good" /24s must not mask widespread badness.
+    Group& cg = s.groups[c];
+    const bool cloud_bad = q.mean_rtt_ms > cg.expected;
+    ++cg.quartets;
+    cg.bad_vs_expected += cloud_bad;
+    if (shield_on &&
+        !shield->contains(steer_shield_key(q.key.location, q.key.block))) {
+      ++cg.unshielded_quartets;
+      cg.unshielded_bad += cloud_bad;
+    }
+    Group& mg = s.groups[m];
+    ++mg.quartets;
+    mg.bad_vs_expected += q.mean_rtt_ms > mg.expected;
 
-  // Barrier: merge the per-/24 good-location sets into shard 0's map. A
-  // dual-homed /24 can be good at a location owned by another shard, and the
-  // ambiguity rule needs the global view. Set union in fixed shard order —
-  // order-independent, hence deterministic for any shard count.
-  auto& good_locations = shards[0].good_locations;
-  for (std::size_t s = 1; s < nshards; ++s) {
-    for (auto& [block, locs] : shards[s].good_locations) {
-      good_locations[block].insert(locs.begin(), locs.end());
+    if (q.bad) {
+      ++bad;
+      continue;
+    }
+    const auto [b, new_block] = s.good.insert(q.key.block.block);
+    GoodAt& at = s.good[b];
+    if (new_block) {
+      at.first = q.key.location.value;
+    } else {
+      at.multi |= at.first != q.key.location.value;
     }
   }
 
-  // Pass 2: hierarchical blame per bad quartet, over contiguous input chunks
-  // against the now read-only shard states. Chunk results are concatenated
-  // in chunk order, so the output sequence is the input order exactly.
-  const std::size_t nchunks = std::min<std::size_t>(nshards, n ? n : 1);
-  const std::size_t chunk_size = n ? (n + nchunks - 1) / nchunks : 0;
-  std::vector<std::vector<BlameResult>> chunks(nchunks);
-  const auto pass2 = [&](int c) {
-    auto& out = chunks[static_cast<std::size_t>(c)];
-    const std::size_t begin = static_cast<std::size_t>(c) * chunk_size;
-    const std::size_t end = std::min(n, begin + chunk_size);
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& q = quartets[i];
-      const auto& shard = shards[q.key.location.value % nshards];
-      if (!q.bad) {
-        // §13 soft badness: a route change can move a whole middle group to
-        // a longer path whose RTT stays under the absolute region target —
-        // invisible to the per-quartet threshold, but exactly what the
-        // expectation comparison exists to catch. Only RECENTLY CHURNED
-        // groups qualify (a live churn event re-routed traffic onto this
-        // key): there, "the group crossed τ against its expectation" is a
-        // path-shaped signal corroborated by the routing plane, while the
-        // same crossing on an unchurned group can equally be a client-side
-        // fault inflating a small group (so co-group quartets must keep
-        // seed's abstain behavior). Soft-bad quartets are blamed Middle
-        // directly and never touch the cloud or client branches.
-        if (!config_.churn_baseline_transfer) continue;
-        const auto mk = middle_group(q);
-        const auto& soft_mg = shard.groups.at(mk);
-        const auto& cmp = shard.comparison_cache.at(mk);
-        if (!cmp.churned) continue;
-        if (soft_mg.quartets <= config_.min_group_quartets) continue;
-        if (soft_mg.bad_fraction() < config_.tau) continue;
-        if (q.mean_rtt_ms <= cmp.value) continue;
-        BlameResult result;
-        result.quartet = q;
-        result.blame = Blame::Middle;
-        result.grade = cmp.transferred ? BaselineGrade::Transferred
-                                       : BaselineGrade::Fresh;
-        out.push_back(std::move(result));
-        continue;
-      }
-      BlameResult result;
-      result.quartet = q;
-
-      const auto& cg = shard.groups.at(cloud_group(q));
-      const auto& mg = shard.groups.at(middle_group(q));
-
-      // With a steer shield active, the cloud check runs on the group's
-      // UN-shielded evidence: a destination-edge shift that is only visible
-      // through just-re-steered /24s has no corroborating cloud-side signal
-      // and must fall through to the middle checks. Groups untouched by the
-      // shield have unshielded == full counters, so this is the original
-      // rule for them; with the shield off it is the original rule for all.
-      const bool cloud_blamed =
-          shield_on ? (cg.unshielded_quartets > config_.min_group_quartets &&
-                       cg.unshielded_fraction() >= config_.tau)
-                    : cg.bad_fraction() >= config_.tau;
-      if (cg.quartets <= config_.min_group_quartets) {
-        result.blame = Blame::Insufficient;
-      } else if (cloud_blamed) {
-        result.blame = Blame::Cloud;
-        result.faulty_as = topology_->cloud_as();
-      } else if (mg.quartets <= config_.min_group_quartets) {
-        result.blame = Blame::Insufficient;
-      } else if (mg.bad_fraction() >= config_.tau) {
-        result.blame = Blame::Middle;  // active phase refines to an AS
-        result.grade = shard.comparison_cache.at(middle_group(q)).transferred
-                           ? BaselineGrade::Transferred
-                           : BaselineGrade::Fresh;
-      } else {
-        const auto it = good_locations.find(q.key.block.block);
-        const bool good_elsewhere =
-            it != good_locations.end() &&
-            (it->second.size() > 1 ||
-             !it->second.contains(q.key.location.value));
-        if (good_elsewhere) {
-          result.blame = Blame::Ambiguous;
-        } else {
-          result.blame = Blame::Client;
-          result.faulty_as = q.client_as;
-        }
-      }
-      out.push_back(std::move(result));
-    }
-  };
-  if (pool_) {
-    pool_->run(static_cast<int>(nchunks), pass2);
-  } else {
-    pass2(0);
-  }
-
-  std::size_t total = 0;
-  for (const auto& c : chunks) total += c.size();
+  // Loop 2: hierarchical blame per bad quartet, in input order.
   std::vector<BlameResult> results;
-  results.reserve(total);
-  for (auto& c : chunks) {
-    results.insert(results.end(), std::make_move_iterator(c.begin()),
-                   std::make_move_iterator(c.end()));
+  results.reserve(bad);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& q = quartets[i];
+    const Group& cg = s.groups[s.group_of[i].first];
+    const Group& mg = s.groups[s.group_of[i].second];
+    if (!q.bad) {
+      // §13 soft badness: a route change can move a whole middle group to
+      // a longer path whose RTT stays under the absolute region target —
+      // invisible to the per-quartet threshold, but exactly what the
+      // expectation comparison exists to catch. Only RECENTLY CHURNED
+      // groups qualify (a live churn event re-routed traffic onto this
+      // key): there, "the group crossed τ against its expectation" is a
+      // path-shaped signal corroborated by the routing plane, while the
+      // same crossing on an unchurned group can equally be a client-side
+      // fault inflating a small group (so co-group quartets must keep
+      // seed's abstain behavior). Soft-bad quartets are blamed Middle
+      // directly and never touch the cloud or client branches.
+      if (!config_.churn_baseline_transfer || !mg.churned) continue;
+      if (mg.quartets <= config_.min_group_quartets) continue;
+      if (mg.bad_fraction() < config_.tau) continue;
+      if (q.mean_rtt_ms <= mg.expected) continue;
+      results.push_back(BlameResult{
+          .quartet = q, .blame = Blame::Middle, .grade = mg.grade()});
+      continue;
+    }
+    BlameResult result{.quartet = q};
+
+    // With a steer shield active, the cloud check runs on the group's
+    // UN-shielded evidence: a destination-edge shift that is only visible
+    // through just-re-steered /24s has no corroborating cloud-side signal
+    // and must fall through to the middle checks. Groups untouched by the
+    // shield have unshielded == full counters, so this is the original
+    // rule for them; with the shield off it is the original rule for all.
+    const bool cloud_blamed =
+        shield_on
+            ? (cg.unshielded_quartets > config_.min_group_quartets &&
+               cg.unshielded_fraction() >= config_.tau)
+            : cg.bad_fraction() >= config_.tau;
+    if (cg.quartets <= config_.min_group_quartets) {
+      result.blame = Blame::Insufficient;
+    } else if (cloud_blamed) {
+      result.blame = Blame::Cloud;
+      result.faulty_as = topology_->cloud_as();
+    } else if (mg.quartets <= config_.min_group_quartets) {
+      result.blame = Blame::Insufficient;
+    } else if (mg.bad_fraction() >= config_.tau) {
+      result.blame = Blame::Middle;  // active phase refines to an AS
+      result.grade = mg.grade();
+    } else {
+      // Good somewhere else: at a second location, or at one that is not
+      // this quartet's.
+      const auto b = s.good.find(q.key.block.block);
+      const bool good_elsewhere =
+          b != FlatTable<GoodAt>::kAbsent &&
+          (s.good[b].multi || s.good[b].first != q.key.location.value);
+      if (good_elsewhere) {
+        result.blame = Blame::Ambiguous;
+      } else {
+        result.blame = Blame::Client;
+        result.faulty_as = q.client_as;
+      }
+    }
+    results.push_back(std::move(result));
   }
+
   if (blame_c_[0]) {
     for (const auto& r : results) {
       blame_c_[static_cast<std::size_t>(r.blame)]->add();

@@ -7,28 +7,24 @@
 // location. Bad fractions compare against the *learned* expected RTTs
 // (14-day medians), not the badness thresholds — §4.3 explains why.
 //
-// Parallel design (config.analytics_threads > 1): quartets are partitioned
-// by cloud location across a util::ThreadPool.
-//   Pass 1 — each shard builds GroupStats for its locations' cloud/middle
-//     groups plus the per-/24 good-location sets. Every learner key embeds
-//     the location, so shards never touch the same group; the per-/24 sets
-//     DO cross shards (dual-homed blocks) and are merged in shard order
-//     after the barrier — a set union, order-independent.
-//   Pass 2 — contiguous input chunks are blamed in parallel against the
-//     read-only merged state and concatenated in chunk order, so results
-//     come out in input order.
-// Every per-quartet decision is a pure function of ⟨group stats, merged
-// good-location sets, learner medians⟩, none of which depend on execution
-// order, so N-thread output is bit-identical to the serial path (asserted
-// in tests).
+// One serial kernel, two loops over the bucket in input order:
+//   Loop 1 — finds or adds each quartet's cloud and middle group in a flat
+//     open-addressing table (the learner is consulted once per group, on its
+//     first quartet), counts the group fractions, remembers the two group
+//     positions per quartet, and records per /24 the first location with a
+//     good quartet plus whether a second one followed.
+//   Loop 2 — blames each bad (and §13 soft-bad) quartet from the remembered
+//     positions, with no further group hashing.
+// The tables live in the localizer and are reused across calls: once they
+// have grown to the largest bucket seen, a bucket's only allocation is its
+// result vector.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <unordered_set>
 #include <vector>
-
-#include <array>
 
 #include "analysis/expected_rtt.h"
 #include "analysis/quartet.h"
@@ -36,7 +32,6 @@
 #include "core/config.h"
 #include "net/topology.h"
 #include "obs/registry.h"
-#include "util/thread_pool.h"
 
 namespace blameit::core {
 
@@ -58,15 +53,17 @@ class PassiveLocalizer {
                    const analysis::ExpectedRttLearner* learner,
                    BlameItConfig config = {},
                    obs::Registry* registry = nullptr);
+  ~PassiveLocalizer();
 
   /// Runs Algorithm 1 over one bucket's quartets (good and bad; the good
   /// ones shape the group fractions and the ambiguity signal). Returns one
-  /// BlameResult per *bad* quartet, in input order regardless of thread
-  /// count. `day` selects the learner's history window. A non-empty
-  /// `shield` makes Cloud blame for shielded ⟨location, /24⟩ quartets
-  /// require corroboration from the location's UN-shielded quartets (§13's
-  /// re-steer rule); un-shielded quartets of an affected group likewise
-  /// judge the cloud check on the un-steered evidence only.
+  /// BlameResult per *bad* quartet, in input order. `day` selects the
+  /// learner's history window. A non-empty `shield` makes Cloud blame for
+  /// shielded ⟨location, /24⟩ quartets require corroboration from the
+  /// location's UN-shielded quartets (§13's re-steer rule); un-shielded
+  /// quartets of an affected group likewise judge the cloud check on the
+  /// un-steered evidence only. Reuses the localizer's scratch tables, so
+  /// calls on one instance must not overlap.
   [[nodiscard]] std::vector<BlameResult> localize(
       std::span<const analysis::Quartet> quartets, int day,
       const SteerShield* shield = nullptr) const;
@@ -82,23 +79,16 @@ class PassiveLocalizer {
     return config_;
   }
 
-  /// Parallelism localize() actually runs with (resolved from the knob).
-  [[nodiscard]] int threads() const noexcept {
-    return pool_ ? pool_->size() : 1;
-  }
-
  private:
   const net::Topology* topology_;
   const analysis::ExpectedRttLearner* learner_;
   BlameItConfig config_;
   analysis::BadnessThresholds thresholds_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null when serial
+  struct Scratch;  ///< localize()'s reusable tables (passive.cc)
+  std::unique_ptr<Scratch> scratch_;
 
-  // Instruments (null without a registry). Blame counters are bumped after
-  // the parallel passes finish, from the merged result list, so the
-  // registry never participates in the parallel section's determinism.
+  // Instruments (null without a registry).
   obs::Histogram* localize_ms_h_ = nullptr;
-  obs::Gauge* shard_imbalance_g_ = nullptr;
   std::array<obs::Counter*, kAllBlames.size()> blame_c_{};
 };
 

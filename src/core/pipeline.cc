@@ -32,9 +32,7 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
       config_.probe_budget_per_run < 0) {
     throw std::invalid_argument{"BlameItConfig: invalid cadence or budget"};
   }
-  // analytics_threads is validated (and the worker pool owned) by passive_;
-  // learning stays serial on purpose — reservoir sampling is order-
-  // sensitive, and localize() dominates the step cost.
+  // Learning stays serial on purpose: reservoir sampling is order-sensitive.
   learn_ms_h_ = obs::histogram(registry, "step.learn_ms");
   localize_ms_h_ = obs::histogram(registry, "step.localize_ms");
   active_ms_h_ = obs::histogram(registry, "step.active_ms");

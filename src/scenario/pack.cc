@@ -217,9 +217,9 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
                     core::BlameItConfig& out) {
   ctx.want_object(v, path);
   ctx.check_keys(v, path,
-                 {"analytics_threads", "expected_rtt_window_days",
-                  "probe_budget_per_run", "active_quorum_k",
-                  "active_probe_retries", "churn_baseline_transfer",
+                 {"expected_rtt_window_days", "probe_budget_per_run",
+                  "active_quorum_k", "active_probe_retries",
+                  "churn_baseline_transfer",
                   "churn_transfer_discount", "churn_transfer_max_age_days",
                   "churn_steer_shield", "churn_shield_minutes",
                   "probe_on_no_baseline"});
@@ -234,7 +234,6 @@ void parse_pipeline(const Ctx& ctx, const Value& v, const std::string& path,
       field = ctx.want_bool(*m, path + "." + std::string{key});
     }
   };
-  opt_int("analytics_threads", out.analytics_threads, 0, 64);
   opt_int("expected_rtt_window_days", out.expected_rtt_window_days, 1, 30);
   opt_int("probe_budget_per_run", out.probe_budget_per_run, 0, 1000);
   opt_int("active_quorum_k", out.active_quorum_k, 1, 9);

@@ -89,10 +89,7 @@ RunResult run_once(const Pack& pack, const RunnerOptions& options,
                                          .generator = generator.get(),
                                          .topology = topology.get()});
 
-  core::BlameItConfig pipeline_config = pack.pipeline;
-  if (options.analytics_threads > 0) {
-    pipeline_config.analytics_threads = options.analytics_threads;
-  }
+  const core::BlameItConfig pipeline_config = pack.pipeline;
 
   std::unique_ptr<ingest::IngestEngine> ingest_engine;
   core::BlameItPipeline::QuartetSource source;
@@ -229,9 +226,6 @@ std::string manifest_jsonl(const Pack& pack, const RunResult& result,
   std::string out;
   const auto rerun_suffix = [&]() {
     std::string s;
-    if (options.analytics_threads > 0) {
-      s += " --threads " + std::to_string(options.analytics_threads);
-    }
     if (options.ingest_shards > 0) {
       s += " --shards " + std::to_string(options.ingest_shards);
     }

@@ -3,8 +3,8 @@
 // profile, applies the fault schedule, runs the evaluation window at the
 // 15-minute cadence, and produces
 //   (a) a deterministic trace digest — a stable hash over the per-step
-//       verdict stream. Two runs of the same pack (any analytics thread
-//       count, any ingest shard count) must produce the same digest; a
+//       verdict stream. Two runs of the same pack (any ingest shard
+//       count) must produce the same digest; a
 //       changed digest means pipeline OUTPUT changed, which is exactly what
 //       the CI golden files gate on.
 //   (b) per-incident scores with overlap-aware pass/fail (see score.h), and
@@ -20,8 +20,6 @@
 namespace blameit::scenario {
 
 struct RunnerOptions {
-  /// Override the pack's analytics thread count (0 = use the pack's value).
-  int analytics_threads = 0;
   /// Override the pack's ingest shard count (records mode; 0 = pack value).
   int ingest_shards = 0;
 };

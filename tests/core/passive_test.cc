@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 
@@ -128,6 +130,117 @@ net::AsId most_used_transit(const net::Topology& topo, net::Region region) {
     }
   }
   return net::AsId{best};
+}
+
+/// Algorithm 1 with §13's soft-badness and steer-shield rules, written
+/// straight from the rules with ordered containers: the reference that
+/// localize()'s flat kernel must reproduce exactly.
+std::vector<BlameResult> oracle_localize(
+    const analysis::ExpectedRttLearner& learner, const BlameItConfig& cfg,
+    net::AsId cloud_as, std::span<const analysis::Quartet> quartets, int day,
+    const SteerShield* shield = nullptr) {
+  struct Group {
+    int n = 0;
+    int bad = 0;
+    int unshielded_n = 0;
+    int unshielded_bad = 0;
+    double expected = 0.0;
+    bool transferred = false;
+    bool churned = false;
+  };
+  const auto fraction = [](int bad, int n) {
+    return n == 0 ? 0.0 : static_cast<double>(bad) / n;
+  };
+  const analysis::BadnessThresholds thresholds;
+  const bool shield_on = shield && !shield->empty();
+  // Learner keys double as group keys: ⟨location, device⟩ for the cloud
+  // node, ⟨location, middle, device⟩ for the middle segment.
+  const auto cloud = [](const analysis::Quartet& q) {
+    return analysis::cloud_key(q.key.location, q.key.device);
+  };
+  const auto middle = [](const analysis::Quartet& q) {
+    return analysis::middle_key(q.key.location, q.middle, q.key.device);
+  };
+  std::map<std::uint64_t, Group> groups;
+  // The expectation is read when a group's first quartet (in input order)
+  // arrives; that quartet's region picks the threshold fallback.
+  const auto group = [&](analysis::ExpectedRttKey key,
+                         const analysis::Quartet& q) -> Group& {
+    const auto [it, fresh] = groups.try_emplace(key.packed);
+    Group& g = it->second;
+    if (!fresh) return g;
+    const double fallback = thresholds.threshold(q.region, q.key.device);
+    if (cfg.churn_baseline_transfer) {
+      const auto graded = learner.expected_with_provenance(key, day);
+      g.expected = graded.value.value_or(fallback);
+      g.transferred =
+          graded.provenance == analysis::BaselineProvenance::kTransferred;
+      g.churned = learner.recently_churned(key, day);
+    } else {
+      g.expected = learner.expected(key, day).value_or(fallback);
+    }
+    return g;
+  };
+  std::map<std::uint32_t, std::set<std::uint16_t>> good_at;
+  for (const auto& q : quartets) {
+    Group& c = group(cloud(q), q);
+    Group& m = group(middle(q), q);
+    ++c.n;
+    c.bad += q.mean_rtt_ms > c.expected;
+    if (!shield ||
+        !shield->contains(steer_shield_key(q.key.location, q.key.block))) {
+      ++c.unshielded_n;
+      c.unshielded_bad += q.mean_rtt_ms > c.expected;
+    }
+    ++m.n;
+    m.bad += q.mean_rtt_ms > m.expected;
+    if (!q.bad) good_at[q.key.block.block].insert(q.key.location.value);
+  }
+
+  std::vector<BlameResult> out;
+  for (const auto& q : quartets) {
+    const Group& c = groups.at(cloud(q).packed);
+    const Group& m = groups.at(middle(q).packed);
+    const auto grade = m.transferred ? BaselineGrade::Transferred
+                                     : BaselineGrade::Fresh;
+    const bool middle_bad = m.n > cfg.min_group_quartets &&
+                            fraction(m.bad, m.n) >= cfg.tau;
+    if (!q.bad) {
+      if (cfg.churn_baseline_transfer && m.churned && middle_bad &&
+          q.mean_rtt_ms > m.expected) {
+        out.push_back(BlameResult{.quartet = q,
+                                  .blame = Blame::Middle,
+                                  .grade = grade});
+      }
+      continue;
+    }
+    BlameResult r{.quartet = q};
+    const bool cloud_bad =
+        shield_on ? c.unshielded_n > cfg.min_group_quartets &&
+                        fraction(c.unshielded_bad, c.unshielded_n) >= cfg.tau
+                  : fraction(c.bad, c.n) >= cfg.tau;
+    if (c.n <= cfg.min_group_quartets) {
+      r.blame = Blame::Insufficient;
+    } else if (cloud_bad) {
+      r.blame = Blame::Cloud;
+      r.faulty_as = cloud_as;
+    } else if (m.n <= cfg.min_group_quartets) {
+      r.blame = Blame::Insufficient;
+    } else if (middle_bad) {
+      r.blame = Blame::Middle;
+      r.grade = grade;
+    } else if (std::ranges::any_of(good_at[q.key.block.block],
+                                   [&](std::uint16_t location) {
+                                     return location != q.key.location.value;
+                                   })) {
+      r.blame = Blame::Ambiguous;  // the /24 was good at another location
+    } else {
+      r.blame = Blame::Client;
+      r.faulty_as = q.client_as;
+    }
+    out.push_back(r);
+  }
+  return out;
 }
 
 TEST_F(PassiveTest, NoFaultsFewBadQuartets) {
@@ -398,7 +511,7 @@ TEST_F(PassiveTest, AmbiguousWhenGoodElsewhere) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
+TEST_F(PassiveTest, FaultedBucketMatchesOracle) {
   analysis::ExpectedRttLearner learner;
   warm(learner, 14);
 
@@ -419,10 +532,8 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
                         .duration_minutes = util::kMinutesPerDay});
   auto quartets = quartets_for(faults, eval_bucket());
 
-  // Inject the ambiguity. Prefer a dual-homed block whose home locations
-  // differ by an odd amount: with shard = location % threads, such a pair
-  // lands in different shards at every even thread count, so the good-
-  // elsewhere signal must cross the shard merge to be seen.
+  // Inject the ambiguity: a dual-homed block turns bad at one location
+  // while it stays good at the other.
   std::map<std::uint32_t, std::vector<std::size_t>> by_block;
   for (std::size_t i = 0; i < quartets.size(); ++i) {
     if (quartets[i].key.device == net::DeviceClass::NonMobile &&
@@ -435,9 +546,8 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
     for (std::size_t a = 0; a < indices.size() && victim == quartets.size();
          ++a) {
       for (std::size_t b = a + 1; b < indices.size(); ++b) {
-        const auto la = quartets[indices[a]].key.location.value;
-        const auto lb = quartets[indices[b]].key.location.value;
-        if (((la ^ lb) & 1) != 0) {
+        if (quartets[indices[a]].key.location !=
+            quartets[indices[b]].key.location) {
           victim = indices[a];
           break;
         }
@@ -445,13 +555,13 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
     }
     if (victim != quartets.size()) break;
   }
-  ASSERT_LT(victim, quartets.size()) << "need a dual-homed odd-pair block";
+  ASSERT_LT(victim, quartets.size()) << "need a dual-homed block";
   quartets[victim].mean_rtt_ms += 300.0;  // bad here, still good elsewhere
   quartets[victim].bad = true;
 
-  BlameItConfig cfg;
-  const PassiveLocalizer serial{topo_, &learner, cfg};
-  const auto reference = serial.localize(quartets, 14);
+  const BlameItConfig cfg;
+  const PassiveLocalizer localizer{topo_, &learner, cfg};
+  const auto reference = localizer.localize(quartets, 14);
 
   // Sanity: multiple decision paths fired, including the ambiguity rule.
   std::map<Blame, int> hist;
@@ -467,30 +577,18 @@ TEST_F(PassiveTest, ParallelLocalizeBitIdenticalAcrossThreadCounts) {
   }
   EXPECT_TRUE(victim_ambiguous);
 
-  for (const int threads : {2, 4, 8}) {
-    cfg.analytics_threads = threads;
-    const PassiveLocalizer parallel{topo_, &learner, cfg};
-    EXPECT_EQ(parallel.threads(), threads);
-    // Exact equality: same results in the same (input) order, bit-identical
-    // means — the guarantee that makes the thread count a pure perf knob.
-    const auto results = parallel.localize(quartets, 14);
-    EXPECT_EQ(results, reference) << "thread count " << threads;
-  }
-
-  // The auto knob (0 = hardware cores) must agree too.
-  cfg.analytics_threads = 0;
-  const PassiveLocalizer auto_threads{topo_, &learner, cfg};
-  EXPECT_EQ(auto_threads.localize(quartets, 14), reference);
+  // Exact equality: same results in the same (input) order, bit-identical
+  // means.
+  EXPECT_EQ(reference, oracle_localize(learner, cfg, topo_->cloud_as(),
+                                       quartets, 14));
 }
 
-TEST_F(PassiveTest, ParallelLocalizeHandlesEmptyAndTinyInput) {
+TEST_F(PassiveTest, LocalizeHandlesEmptyAndTinyInput) {
   analysis::ExpectedRttLearner learner;
-  BlameItConfig cfg;
-  cfg.analytics_threads = 4;
-  const PassiveLocalizer localizer{topo_, &learner, cfg};
+  const PassiveLocalizer localizer{topo_, &learner};
   EXPECT_TRUE(localizer.localize({}, 0).empty());
 
-  // Fewer quartets than shards: one bad quartet alone -> Insufficient.
+  // One bad quartet alone -> Insufficient.
   analysis::Quartet q;
   q.key = analysis::QuartetKey{.block = topo_->blocks().front().block,
                                .location = topo_->locations().front().id,
@@ -508,6 +606,178 @@ TEST_F(PassiveTest, ParallelLocalizeHandlesEmptyAndTinyInput) {
       localizer.localize(std::vector<analysis::Quartet>{q}, 0);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].blame, Blame::Insufficient);
+}
+
+TEST_F(PassiveTest, RandomBucketsMatchOracleExactly) {
+  // Differential test: seeded random buckets over a synthetic key space,
+  // localize() against oracle_localize() by exact equality. One localizer
+  // per configuration sees every bucket, large and small interleaved, so its
+  // reused tables must forget each bucket completely. Thousands of /24s and
+  // hundreds of groups per bucket force probe-chain collisions and
+  // wraparound in the flat tables.
+  constexpr int kDay = 14;
+  constexpr int kLocations = 24;
+  constexpr int kPaths = 6;  // BGP paths per location
+  constexpr int kBlocks = 4000;
+  util::Rng rng{20190819};
+
+  // History for about 3/4 of the groups (the rest fall back to the region
+  // threshold of their first quartet); churn transfers onto some middle
+  // groups, dated so that some are live, some expired and some future.
+  analysis::ExpectedRttLearner learner;
+  const auto learn = [&](analysis::ExpectedRttKey key) {
+    if (!rng.chance(0.75)) return;
+    for (int day = kDay - 3; day < kDay; ++day) {
+      for (int i = 0; i < 4; ++i) {
+        learner.observe(key, day, rng.uniform(30, 50));
+      }
+    }
+  };
+  for (int loc = 0; loc < kLocations; ++loc) {
+    for (const auto device : net::kAllDeviceClasses) {
+      const net::CloudLocationId location{static_cast<std::uint16_t>(loc)};
+      const auto cloud = analysis::cloud_key(location, device);
+      learn(cloud);
+      for (std::uint32_t path = 0; path < kPaths; ++path) {
+        const auto middle = analysis::middle_key(location, {path}, device);
+        learn(middle);
+        if (rng.chance(0.3)) {
+          static_cast<void>(learner.transfer_baseline(
+              cloud, middle,
+              static_cast<int>(rng.uniform_int(kDay - 5, kDay + 1))));
+        }
+      }
+    }
+  }
+
+  // Client /24s: a region, a client AS, and one to three home locations
+  // (dual-homed blocks drive the ambiguity rule), each with its BGP path.
+  struct Block {
+    net::Region region{};
+    net::AsId client_as;
+    std::vector<std::pair<net::CloudLocationId, net::MiddleSegmentId>> homes;
+  };
+  std::vector<Block> blocks(kBlocks);
+  for (auto& b : blocks) {
+    b.region = net::kAllRegions[static_cast<std::size_t>(
+        rng.uniform_int(0, net::kAllRegions.size() - 1))];
+    b.client_as = net::AsId{static_cast<std::uint32_t>(rng.uniform_int(1, 50))};
+    const double roll = rng.uniform();
+    const int homes = roll < 0.5 ? 1 : roll < 0.85 ? 2 : 3;
+    for (int h = 0; h < homes; ++h) {
+      b.homes.emplace_back(
+          net::CloudLocationId{
+              static_cast<std::uint16_t>(rng.uniform_int(0, kLocations - 1))},
+          net::MiddleSegmentId{
+              static_cast<std::uint32_t>(rng.uniform_int(0, kPaths - 1))});
+    }
+  }
+  const analysis::BadnessThresholds thresholds;
+
+  // One bucket: cloud, middle and client faults drawn afresh, then quartets
+  // whose RTT sits around the learned ~40 ms plus whatever faults apply.
+  const auto make_bucket = [&](int n) {
+    std::vector<bool> cloud_fault(kLocations);
+    std::vector<bool> middle_fault(kLocations * kPaths);
+    std::vector<bool> client_fault(kBlocks);
+    for (auto&& f : cloud_fault) f = rng.chance(0.15);
+    for (auto&& f : middle_fault) f = rng.chance(0.2);
+    for (auto&& f : client_fault) f = rng.chance(0.05);
+    std::vector<analysis::Quartet> out(static_cast<std::size_t>(n));
+    for (auto& q : out) {
+      const auto bi = static_cast<std::size_t>(rng.uniform_int(0, kBlocks - 1));
+      const Block& b = blocks[bi];
+      const auto& [location, middle] = b.homes[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(b.homes.size()) - 1))];
+      q.key = analysis::QuartetKey{
+          .block = net::Slash24{static_cast<std::uint32_t>(bi) * 7919u},
+          .location = location,
+          .device = net::kAllDeviceClasses[static_cast<std::size_t>(
+              rng.uniform_int(0, 1))],
+          .bucket = util::TimeBucket{kDay * util::kBucketsPerDay}};
+      q.sample_count = 20;
+      q.middle = middle;
+      q.client_as = b.client_as;
+      q.region = b.region;
+      q.mean_rtt_ms = rng.uniform(28, 52);
+      if (cloud_fault[location.value] ||
+          middle_fault[location.value * kPaths + middle.value] ||
+          client_fault[bi] || rng.chance(0.05)) {
+        q.mean_rtt_ms += rng.uniform(60, 120);
+      }
+      q.bad = q.mean_rtt_ms > thresholds.threshold(q.region, q.key.device);
+    }
+    return out;
+  };
+
+  struct Case {
+    const char* name;
+    BlameItConfig cfg;
+    bool shield = false;
+  };
+  BlameItConfig churn;
+  churn.churn_baseline_transfer = true;
+  BlameItConfig loose;
+  loose.tau = 0.5;
+  loose.min_group_quartets = 1;
+  const Case cases[] = {{"default", {}},
+                        {"churn", churn},
+                        {"shield", {}, true},
+                        {"churn+shield", churn, true},
+                        {"loose", loose, true}};
+
+  std::map<Blame, int> seen;
+  int soft_bad = 0;
+  std::array<int, 3> good_elsewhere{};  // good at 0, 1, >= 2 other locations
+  int good_only_here = 0;
+  for (const auto& c : cases) {
+    const PassiveLocalizer localizer{topo_, &learner, c.cfg};
+    for (int round = 0; round < 24; ++round) {
+      const int sizes[] = {0, 1, 2, static_cast<int>(rng.uniform_int(3, 200)),
+                           static_cast<int>(rng.uniform_int(2000, 12000))};
+      const auto quartets = make_bucket(sizes[round % 5]);
+      // An active steer shield: half the /24s at one location just moved
+      // there. Every fourth shielded round passes an empty shield instead.
+      SteerShield shield;
+      if (c.shield && round % 4 != 0) {
+        const auto at =
+            static_cast<std::uint16_t>(rng.uniform_int(0, kLocations - 1));
+        for (const auto& q : quartets) {
+          if (q.key.location.value == at && rng.chance(0.5)) {
+            shield.insert(steer_shield_key(q.key.location, q.key.block));
+          }
+        }
+      }
+      const SteerShield* active = c.shield ? &shield : nullptr;
+      const auto got = localizer.localize(quartets, kDay, active);
+      const auto want = oracle_localize(learner, c.cfg, topo_->cloud_as(),
+                                        quartets, kDay, active);
+      ASSERT_EQ(got, want) << c.name << " round " << round << ", "
+                           << quartets.size() << " quartets";
+
+      for (const auto& r : got) {
+        ++seen[r.blame];
+        soft_bad += !r.quartet.bad;
+      }
+      std::map<std::uint32_t, std::set<std::uint16_t>> good_at;
+      for (const auto& q : quartets) {
+        if (!q.bad) good_at[q.key.block.block].insert(q.key.location.value);
+      }
+      for (const auto& q : quartets) {
+        if (!q.bad) continue;
+        auto locs = good_at[q.key.block.block];
+        good_only_here += locs.erase(q.key.location.value) && locs.empty();
+        ++good_elsewhere[std::min<std::size_t>(locs.size(), 2)];
+      }
+    }
+  }
+  // The buckets exercised every branch and every dual-homing shape.
+  for (const auto blame : kAllBlames) {
+    EXPECT_GT(seen[blame], 0) << to_string(blame);
+  }
+  EXPECT_GT(soft_bad, 0);
+  EXPECT_GT(good_only_here, 0);
+  for (const int count : good_elsewhere) EXPECT_GT(count, 0);
 }
 
 TEST_F(PassiveTest, ComparisonRttFallsBackToThreshold) {
@@ -561,10 +831,9 @@ TEST_F(PassiveTest, RegistryNeverAffectsOutputAndCountsBlames) {
   const auto reference = plain.localize(quartets, 14);
   ASSERT_FALSE(reference.empty());
 
-  // A live registry on a multi-threaded localizer must leave the blame
-  // output bit-identical: metrics observe, they never participate.
+  // A live registry must leave the blame output bit-identical: metrics
+  // observe, they never participate.
   obs::Registry registry;
-  cfg.analytics_threads = 4;
   const PassiveLocalizer instrumented{topo_, &learner, cfg, &registry};
   EXPECT_EQ(instrumented.localize(quartets, 14), reference);
 
@@ -670,10 +939,6 @@ TEST_F(PassiveTest, InvalidConfigRejected) {
                std::invalid_argument);
   bad = {};
   bad.min_group_quartets = 0;
-  EXPECT_THROW((PassiveLocalizer{topo_, &learner, bad}),
-               std::invalid_argument);
-  bad = {};
-  bad.analytics_threads = -1;
   EXPECT_THROW((PassiveLocalizer{topo_, &learner, bad}),
                std::invalid_argument);
   EXPECT_THROW((PassiveLocalizer{nullptr, &learner}), std::invalid_argument);

@@ -137,34 +137,6 @@ TEST_F(PipelineTest, QuietNetworkProducesFewBlames) {
   EXPECT_LT(blames, quartets_seen / 5);
 }
 
-TEST_F(PipelineTest, ParallelAnalyticsMatchesSerialEndToEnd) {
-  // A middle fault during the evaluation window gives the step something to
-  // blame; the parallel analytics core must reproduce the serial pipeline's
-  // blame stream exactly (same results, same order, bit-identical means).
-  faults_.add(sim::Fault{.kind = sim::FaultKind::MiddleAs,
-                         .as = used_transit(*topo_, net::Region::Europe),
-                         .added_ms = 120.0,
-                         .start = util::MinuteTime::from_day_hour(2, 0),
-                         .duration_minutes = 120});
-  const auto run = [&](int threads) {
-    BlameItConfig cfg = shortened_config();
-    cfg.analytics_threads = threads;
-    build(cfg);
-    warm(2);
-    std::vector<BlameResult> blames;
-    for (int minute = 15; minute <= 120; minute += 15) {
-      const auto report = pipeline_->step(
-          util::MinuteTime::from_days(2).plus_minutes(minute));
-      blames.insert(blames.end(), report.blames.begin(),
-                    report.blames.end());
-    }
-    return blames;
-  };
-  const auto serial = run(1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(run(4), serial);
-}
-
 TEST_F(PipelineTest, MiddleFaultDiagnosedEndToEnd) {
   const auto fault_start =
       util::MinuteTime::from_day_hour(2, 10);

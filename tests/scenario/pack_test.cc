@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 namespace blameit::scenario {
 namespace {
@@ -300,16 +301,22 @@ TEST(PackTest, RestartOutsideTheEvaluationWindowIsRejected) {
 }
 
 TEST(PackTest, RemovedBackendKeyIsUnknownAndListsAllowed) {
-  // The state-backend knob is gone: packs that still set it fail with the
-  // strict unknown-member error, which lists the keys that remain. The key
-  // is spelled in two parts so a tree-wide grep for the knob stays empty.
-  const std::string key = std::string{"state_"} + "backend";
-  const auto what = error_of(R"({"name": "x", "pipeline": {")" + key +
-                             R"(": "columnar"}, "incidents": []})");
-  EXPECT_NE(what.find("$.pipeline." + key), std::string::npos) << what;
-  EXPECT_NE(what.find("unknown member"), std::string::npos) << what;
-  EXPECT_NE(what.find("allowed:"), std::string::npos) << what;
-  EXPECT_NE(what.find("analytics_threads"), std::string::npos) << what;
+  // Removed knobs (the state backend, the analytics thread count): packs
+  // that still set one fail with the strict unknown-member error, which
+  // lists the keys that remain. Each key is spelled in two parts so a
+  // tree-wide grep for the knob stays empty.
+  const std::pair<std::string, std::string> rows[] = {
+      {std::string{"state_"} + "backend", R"("columnar")"},
+      {std::string{"analytics_"} + "threads", "4"}};
+  for (const auto& [key, value] : rows) {
+    const auto what = error_of(R"({"name": "x", "pipeline": {")" + key +
+                               R"(": )" + value + R"(}, "incidents": []})");
+    EXPECT_NE(what.find("$.pipeline." + key), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown member"), std::string::npos) << what;
+    EXPECT_NE(what.find("allowed:"), std::string::npos) << what;
+    EXPECT_NE(what.find("expected_rtt_window_days"), std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 //   scenario_runner --pack packs/flash_crowd.json
 //   scenario_runner --pack a.json --pack b.json --golden packs/GOLDEN_DIGESTS
-//   scenario_runner --pack a.json --threads 4 --shards 8 --manifest-dir out/
+//   scenario_runner --pack a.json --shards 8 --manifest-dir out/
 //
 // Exit codes:
 //   0  every pack ran; digests matched the golden file (when given)
@@ -39,7 +39,6 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --pack FILE [--pack FILE ...]\n"
-      "          [--threads N]        analytics threads override\n"
       "          [--shards N]         ingest shards override (records mode)\n"
       "          [--manifest-dir DIR] write DIR/<pack>.manifest.jsonl\n"
       "          [--golden FILE]      compare digests (lines: <name> <hex>)\n"
@@ -94,8 +93,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--pack") {
       pack_paths.emplace_back(next());
-    } else if (arg == "--threads") {
-      options.analytics_threads = std::atoi(next());
     } else if (arg == "--shards") {
       options.ingest_shards = std::atoi(next());
     } else if (arg == "--manifest-dir") {
