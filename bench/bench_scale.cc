@@ -105,8 +105,8 @@ CellResult run_cell(std::size_t scale) {
 
   // --- Verdict store: synthesized step reports covering every /24 once per
   // step (the "every client block has a live verdict" worst case).
-  svc::VerdictStore store{svc::VerdictStore::Config{
-      .shards = 8, .verdict_retention_buckets = 12}};
+  svc::VerdictStore store{
+      svc::VerdictStore::Config{.verdict_retention_buckets = 12}};
   constexpr int kSteps = 3;
   std::size_t records = 0;
   const auto publish_t0 = Clock::now();
@@ -149,8 +149,8 @@ CellResult run_cell(std::size_t scale) {
 
   analysis::ExpectedRttLearner learner2{
       analysis::ExpectedRttConfig{.window_days = 14}};
-  svc::VerdictStore store2{svc::VerdictStore::Config{
-      .shards = 8, .verdict_retention_buckets = 12}};
+  svc::VerdictStore store2{
+      svc::VerdictStore::Config{.verdict_retention_buckets = 12}};
   const auto load_t0 = Clock::now();
   {
     const auto reader = store::SnapshotReader::from_file(snap_path);

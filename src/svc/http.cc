@@ -257,7 +257,9 @@ HttpServer::~HttpServer() { stop(); }
 
 bool HttpServer::start() {
   if (running_.load(std::memory_order_acquire)) return true;
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  // Non-blocking, so a worker that loses the accept race gets EAGAIN
+  // instead of blocking past stop().
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -273,7 +275,7 @@ bool HttpServer::start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listen_fd_, config_.listen_backlog) < 0) {
+      ::listen(listen_fd_, SOMAXCONN) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return false;
@@ -284,74 +286,52 @@ bool HttpServer::start() {
     port_.store(ntohs(addr.sin_port), std::memory_order_release);
   }
 
-  stopping_.store(false, std::memory_order_release);
-  pending_ = std::make_unique<ingest::BoundedQueue<int>>(
-      config_.max_pending_connections);
-  pool_ = std::make_unique<util::ThreadPool>(config_.workers);
+  stopping_.store(false);
   running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  pool_runner_ = std::thread([this] {
-    pool_->run(config_.workers, [this](int index) { worker_loop(index); });
-  });
+  for (int i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this, i] { worker_loop(i); });
+  }
   return true;
 }
 
 void HttpServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // No new connections past this point. Close the queue (workers drain the
-  // already-accepted sockets) and kick any worker blocked in recv().
-  pending_->close();
+  // Kick any worker blocked in recv(); see the stopping_ comment in http.h
+  // for why every in-flight connection is either seen here or sees
+  // stopping_ itself.
+  stopping_.store(true);
   for (auto& slot : active_fds_) {
-    const int fd = slot.load(std::memory_order_acquire);
+    const int fd = slot.load();
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
-  if (pool_runner_.joinable()) pool_runner_.join();
-  // Anything still queued was closed by the draining workers; the queue is
-  // empty now. Tear down the listener last.
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  pool_.reset();
-  pending_.reset();
+  for (auto& worker : workers_) worker.join();
+  workers_.clear();
+  // Connections still in the backlog were never accepted; closing the
+  // listener resets them.
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   running_.store(false, std::memory_order_release);
 }
 
-void HttpServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
+void HttpServer::worker_loop(int worker_index) {
+  while (!stopping_.load()) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 100);
     if (rc < 0) {
       if (errno == EINTR) continue;
-      break;
+      return;
     }
     if (rc == 0 || !(pfd.revents & POLLIN)) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
           errno == EWOULDBLOCK) {
         continue;
       }
-      break;
+      return;  // a persistent error would otherwise spin this worker
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (pending_->push(fd) == ingest::PushStatus::Closed) {
-      ::close(fd);  // raced with stop()
-    }
-  }
-}
-
-void HttpServer::worker_loop(int worker_index) {
-  while (true) {
-    auto fd = pending_->pop();
-    if (!fd) return;  // queue closed and drained
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(*fd);  // draining: shed queued sockets without serving
-      continue;
-    }
-    serve_connection(*fd, worker_index);
+    serve_connection(fd, worker_index);
   }
 }
 
@@ -366,7 +346,7 @@ bool HttpServer::send_error(int fd, int status, std::string_view detail) {
 
 void HttpServer::serve_connection(int fd, int worker_index) {
   auto& slot = active_fds_[static_cast<std::size_t>(worker_index)];
-  slot.store(fd, std::memory_order_release);
+  slot.store(fd);
 
   timeval tv{};
   tv.tv_sec = config_.limits.read_timeout_ms / 1000;
@@ -378,7 +358,7 @@ void HttpServer::serve_connection(int fd, int worker_index) {
   std::string buffer;
   char chunk[4096];
   bool alive = true;
-  while (alive && !stopping_.load(std::memory_order_acquire)) {
+  while (alive && !stopping_.load()) {
     // Parse everything already buffered (pipelined requests) before
     // touching the socket again.
     HttpRequest request;
@@ -450,8 +430,7 @@ void HttpServer::serve_connection(int fd, int worker_index) {
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
 
-    const bool keep =
-        request.keep_alive && !stopping_.load(std::memory_order_acquire);
+    const bool keep = request.keep_alive && !stopping_.load();
     const auto wire = render_response(response, keep);
     std::size_t sent = 0;
     while (sent < wire.size()) {
@@ -466,7 +445,7 @@ void HttpServer::serve_connection(int fd, int worker_index) {
     alive = keep && sent == wire.size();
   }
 
-  slot.store(-1, std::memory_order_release);
+  slot.store(-1);
   ::close(fd);
 }
 

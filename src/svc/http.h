@@ -1,6 +1,7 @@
-// Dependency-free embedded HTTP/1.1 server for the verdict service: a
-// blocking accept loop feeding a bounded connection queue drained by a
-// small worker pool (util::ThreadPool). Scope is deliberately narrow — the
+// Dependency-free embedded HTTP/1.1 server for the verdict service: a few
+// worker threads that each accept and serve their own connections from one
+// non-blocking listener; connections waiting for a free worker queue in the
+// kernel's listen backlog. Scope is deliberately narrow — the
 // service speaks GET + keep-alive + Content-Length, nothing else (no TLS,
 // no chunked encoding, no HTTP/2): it serves JSON to operators and
 // scrapers on a trusted network, and every byte of parsing is bounded.
@@ -17,14 +18,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "ingest/queue.h"
-#include "util/thread_pool.h"
 
 namespace blameit::svc {
 
@@ -98,17 +95,15 @@ enum class ParseStatus : std::uint8_t {
 struct HttpServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see HttpServer::port()
+  /// Threads serving connections; each serves one connection at a time.
   int workers = 4;
-  int listen_backlog = 64;
-  /// Accepted connections waiting for a worker; accept() beyond this
-  /// blocks (kernel backlog then applies its own pressure).
-  std::size_t max_pending_connections = 256;
   HttpLimits limits;
 };
 
-/// The server. start() binds and spawns the accept loop plus the worker
-/// pool; stop() (or destruction) drains: listener closed, queue closed,
-/// in-flight connections shut down, every thread joined, every fd closed.
+/// The server. start() binds and spawns the workers; stop() (or
+/// destruction) drains: in-flight connections shut down, every worker
+/// joined, then the listener closed, which resets connections still waiting
+/// in the backlog.
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -141,7 +136,8 @@ class HttpServer {
   }
 
  private:
-  void accept_loop();
+  /// Polls the listener until stop(); accepts and serves one connection at
+  /// a time.
   void worker_loop(int worker_index);
   void serve_connection(int fd, int worker_index);
   /// Sends an error response and returns false (= close the connection).
@@ -153,12 +149,11 @@ class HttpServer {
   int listen_fd_ = -1;
   std::atomic<std::uint16_t> port_{0};
   std::atomic<bool> running_{false};
+  /// stopping_ and the active_fds_ slots are seq_cst: a worker stores its
+  /// slot then loads stopping_, stop() stores stopping_ then loads the
+  /// slots, so at least one side sees the other.
   std::atomic<bool> stopping_{false};
-
-  std::unique_ptr<ingest::BoundedQueue<int>> pending_;
-  std::thread accept_thread_;
-  std::unique_ptr<util::ThreadPool> pool_;
-  std::thread pool_runner_;  ///< drives pool_->run(workers, worker_loop)
+  std::vector<std::thread> workers_;
 
   /// fd each worker is currently serving (-1 idle); stop() shuts these
   /// down so blocked reads wake immediately instead of riding out their

@@ -144,11 +144,7 @@ DiagnosisRecord read_diagnosis(store::ByteReader& in) {
 
 }  // namespace
 
-VerdictStore::VerdictStore(Config config)
-    : config_(config),
-      work_(static_cast<std::size_t>(std::max(1, config.shards))),
-      dirty_(work_.size(), false),
-      shards_(work_.size()) {
+VerdictStore::VerdictStore(Config config) : config_(config) {
   if (config_.verdict_retention_buckets < 1) {
     throw std::invalid_argument{"VerdictStore: retention must be >= 1"};
   }
@@ -180,7 +176,12 @@ void VerdictStore::publish(const core::StepReport& report) {
     shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
     dirty_[i] = false;
   }
-  publish_timeline(report);
+  publish_timeline(
+      Health{.epoch = epoch_.load(std::memory_order_relaxed) + 1,
+             .last_step = report.now,
+             .steps = steps_,
+             .degraded_steps = degraded_steps_,
+             .degraded = report.degraded_passive_only});
   epoch_.fetch_add(1, std::memory_order_release);
 
   obs::add(publishes_c_);
@@ -369,7 +370,7 @@ void VerdictStore::fold_incidents(const core::StepReport& report) {
   while (diagnoses_.size() > config_.max_diagnoses) diagnoses_.pop_front();
 }
 
-void VerdictStore::publish_timeline(const core::StepReport& report) {
+void VerdictStore::publish_timeline(const Health& health) {
   auto timeline = std::make_shared<Timeline>();
   timeline->incidents.reserve(closed_.size() + open_runs_.size());
   timeline->incidents.assign(closed_.begin(), closed_.end());
@@ -381,12 +382,7 @@ void VerdictStore::publish_timeline(const core::StepReport& report) {
               return a.first_seen < b.first_seen;
             });
   timeline->diagnoses.assign(diagnoses_.begin(), diagnoses_.end());
-  timeline->health =
-      Health{.epoch = epoch_.load(std::memory_order_relaxed) + 1,
-             .last_step = report.now,
-             .steps = steps_,
-             .degraded_steps = degraded_steps_,
-             .degraded = report.degraded_passive_only};
+  timeline->health = health;
   timeline_.store(std::move(timeline));
 }
 
@@ -622,32 +618,15 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
     shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
     dirty_[i] = false;
   }
-  publish_restored_timeline(util::MinuteTime{last_step_minutes}, degraded);
+  // The restored epoch is already the published count; unlike publish()
+  // there is no pending increment to anticipate.
+  publish_timeline(Health{.epoch = epoch,
+                          .last_step = util::MinuteTime{last_step_minutes},
+                          .steps = steps_,
+                          .degraded_steps = degraded_steps_,
+                          .degraded = degraded});
   obs::set(verdicts_g_, static_cast<double>(keys.size()));
   obs::set(open_incidents_g_, static_cast<double>(open_runs_.size()));
-}
-
-void VerdictStore::publish_restored_timeline(util::MinuteTime last_step,
-                                             bool degraded) {
-  auto timeline = std::make_shared<Timeline>();
-  timeline->incidents.reserve(closed_.size() + open_runs_.size());
-  timeline->incidents.assign(closed_.begin(), closed_.end());
-  for (const auto& [key, run] : open_runs_) {
-    timeline->incidents.push_back(run.incident);
-  }
-  std::sort(timeline->incidents.begin(), timeline->incidents.end(),
-            [](const Incident& a, const Incident& b) {
-              return a.first_seen < b.first_seen;
-            });
-  timeline->diagnoses.assign(diagnoses_.begin(), diagnoses_.end());
-  // epoch_ already holds the restored published count; unlike
-  // publish_timeline there is no pending increment to anticipate.
-  timeline->health = Health{.epoch = epoch_.load(std::memory_order_relaxed),
-                            .last_step = last_step,
-                            .steps = steps_,
-                            .degraded_steps = degraded_steps_,
-                            .degraded = degraded};
-  timeline_.store(std::move(timeline));
 }
 
 }  // namespace blameit::svc

@@ -26,6 +26,7 @@
 // confidence and culprit when one lands; Ambiguous/Insufficient stay Low.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -132,7 +133,6 @@ struct DiagnosisRecord {
 class VerdictStore {
  public:
   struct Config {
-    int shards = 8;
     /// Verdicts older than this many buckets (vs the newest published
     /// bucket) age out of lookup results. Default: one hour of buckets.
     int verdict_retention_buckets = 12;
@@ -203,6 +203,7 @@ class VerdictStore {
 
  private:
   using Key = std::uint64_t;  // block << 16 | location
+  static constexpr std::size_t kShards = 8;
   using ShardMap = std::unordered_map<Key, Verdict>;
   using ShardPtr = std::shared_ptr<const ShardMap>;
 
@@ -222,19 +223,19 @@ class VerdictStore {
     std::uint64_t x = block.block;
     x ^= x >> 16;
     x *= 0x45d9f3b;
-    return static_cast<std::size_t>(x) % shards_.size();
+    return static_cast<std::size_t>(x) % kShards;
   }
 
   void fold_blames(const core::StepReport& report);
   void fold_incidents(const core::StepReport& report);
-  void publish_timeline(const core::StepReport& report);
-  void publish_restored_timeline(util::MinuteTime last_step, bool degraded);
+  /// Swaps in a Timeline of the current incident runs and diagnoses.
+  void publish_timeline(const Health& health);
 
   Config config_;
 
   // Publisher-private working state (only the publish thread touches it).
-  std::vector<ShardMap> work_;           // mutable mirror of the shards
-  std::vector<bool> dirty_;              // which shards changed this publish
+  std::array<ShardMap, kShards> work_{};  // mutable mirror of the shards
+  std::array<bool, kShards> dirty_{};     // which shards changed this publish
   util::TimeBucket newest_bucket_{0};
 
   struct OpenRun {
@@ -248,7 +249,7 @@ class VerdictStore {
   std::uint64_t degraded_steps_ = 0;
 
   // Shared state (publisher swaps, readers load).
-  std::vector<SnapshotSlot<const ShardMap>> shards_;
+  std::array<SnapshotSlot<const ShardMap>, kShards> shards_;
   SnapshotSlot<const Timeline> timeline_;
   std::atomic<std::uint64_t> epoch_{0};
 

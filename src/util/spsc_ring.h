@@ -20,11 +20,11 @@
 // not depend on the doorbell. Parks are counted on both sides; they are the
 // ring's backpressure signal.
 //
-// close() is the shutdown valve, mirroring ingest::BoundedQueue: it stops
-// admission (push_all drops the remainder and counts it), wakes both sides,
-// and lets the consumer keep draining what was already published. wake() is
-// a spurious consumer wakeup used by side channels ("a control message is
-// waiting"): pop_wait returns 0 so the caller can poll its other sources.
+// close() is the shutdown valve: it stops admission (push_all drops the
+// remainder and counts it), wakes both sides, and lets the consumer keep
+// draining what was already published. wake() is a spurious consumer wakeup
+// used by side channels ("a control message is waiting"): pop_wait returns 0
+// so the caller can poll its other sources.
 #pragma once
 
 #include <atomic>

@@ -6,9 +6,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
+#include <cerrno>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace blameit::svc {
 namespace {
@@ -148,6 +154,84 @@ TEST(HttpParseTest, RenderResponse) {
   EXPECT_NE(closed.find("Connection: close\r\n"), std::string::npos);
 }
 
+// Seeded mutation fuzzing: flips, overwrites, truncations and splices of a
+// few well-formed requests, checked against the parser's contract rather
+// than against expected parses. Deterministic, so a failure reproduces.
+TEST(HttpParseTest, SeededMutationsKeepParserContract) {
+  const std::vector<std::string> seeds = {
+      "GET /v1/verdict?client=10.0.0.1&cloud=edge-3 HTTP/1.1\r\n"
+      "Host: localhost\r\n\r\n",
+      "GET /v1/incidents?since=120 HTTP/1.0\r\nConnection: keep-alive\r\n"
+      "X-Trace: a%20b\r\n\r\n",
+      "POST /submit HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+      "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n"
+      "GET /healthz HTTP/1.1\r\n\r\n",
+  };
+  // Bytes the request grammar treats specially.
+  static constexpr std::array<char, 17> kBytes = {
+      '\r', '\n', ' ', ':', '%', '?', '&', '=', '/',
+      '0',  '9',  'a', 'Z', '\t', '\0', '\x7f', '\xff'};
+  HttpLimits tight;
+  tight.max_head_bytes = 96;
+  tight.max_body_bytes = 4;  // below the POST seed's body
+  tight.max_headers = 2;
+  const std::array<HttpLimits, 2> limits = {HttpLimits{}, tight};
+
+  util::Rng rng{0x5EED};
+  const auto below = [&rng](std::size_t n) {  // uniform in [0, n)
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::array<int, 5> outcomes{};
+  for (int iter = 0; iter < 5000; ++iter) {
+    std::string buf = seeds[below(seeds.size())];
+    const auto edits = rng.uniform_int(1, 4);
+    for (std::int64_t e = 0; e < edits; ++e) {
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // flip one bit
+          if (!buf.empty()) {
+            buf[below(buf.size())] ^= static_cast<char>(1 << below(8));
+          }
+          break;
+        case 1:  // overwrite one byte
+          if (!buf.empty()) buf[below(buf.size())] = kBytes[below(17)];
+          break;
+        case 2:  // truncate
+          buf.resize(below(buf.size() + 1));
+          break;
+        default: {  // splice in a slice of a seed
+          const auto& donor = seeds[below(seeds.size())];
+          const auto from = below(donor.size());
+          buf.insert(below(buf.size() + 1),
+                     donor.substr(from, below(donor.size() - from + 1)));
+          break;
+        }
+      }
+    }
+
+    const auto& limit = limits[static_cast<std::size_t>(iter) % 2];
+    HttpRequest request;
+    std::size_t head = 0, body = 0;
+    const auto status = parse_request_head(buf, limit, request, head, body);
+    ++outcomes[static_cast<std::size_t>(status)];
+    const auto input = ::testing::PrintToString(buf);
+    if (status == ParseStatus::Ok) {
+      ASSERT_LE(head, std::min(buf.size(), limit.max_head_bytes)) << input;
+      ASSERT_GE(head, 4u) << input;
+      ASSERT_EQ(buf.substr(head - 4, 4), "\r\n\r\n") << input;
+      ASSERT_LE(body, limit.max_body_bytes) << input;
+    } else if (status == ParseStatus::NeedMore) {
+      ASSERT_EQ(buf.find("\r\n\r\n"), std::string::npos) << input;
+      ASSERT_LE(buf.size(), limit.max_head_bytes) << input;
+    }
+  }
+  // The mutations must reach every outcome, or the contract above was
+  // checked on too narrow a slice of inputs.
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_GT(outcomes[i], 0) << "ParseStatus " << i << " never reached";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Live-socket tests against a real server.
 // ---------------------------------------------------------------------------
@@ -179,6 +263,14 @@ class TestClient {
     }
   }
   void half_close() const { ::shutdown(fd_, SHUT_WR); }
+  void set_read_timeout(std::chrono::milliseconds timeout) const {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1000 * 1000);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  /// How the last read that returned no data ended: 0 for EOF, else errno.
+  [[nodiscard]] int end_errno() const { return end_errno_; }
 
   /// Reads exactly one response (headers + Content-Length body).
   [[nodiscard]] std::string read_response() {
@@ -210,13 +302,17 @@ class TestClient {
   bool fill() {
     char chunk[4096];
     const auto rc = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (rc <= 0) return false;
+    if (rc <= 0) {
+      end_errno_ = rc == 0 ? 0 : errno;
+      return false;
+    }
     buffer_.append(chunk, static_cast<std::size_t>(rc));
     return true;
   }
 
   int fd_ = -1;
   bool connected_ = false;
+  int end_errno_ = 0;
   std::string buffer_;
 };
 
@@ -357,7 +453,10 @@ TEST_F(HttpServerTest, StopDrainsCleanly) {
   ASSERT_TRUE(active.connected());
   active.send_all("GET /x HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_NE(active.read_response().find("200 OK"), std::string::npos);
-  server_->stop();  // must not hang on the idle keep-alive connection
+  // Must not ride out the 60 s read timeout on the idle connection.
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{2});
   EXPECT_FALSE(server_->running());
   // Idempotent; restartable server object is not required, but a second
   // stop must be harmless.
@@ -375,6 +474,41 @@ TEST(HttpServerLifecycleTest, EphemeralPortsAndRestart) {
   EXPECT_NE(a.port(), b.port());  // both ephemeral, both bound
   a.stop();
   b.stop();
+}
+
+TEST(HttpServerLifecycleTest, StopResetsConnectionsWaitingInBacklog) {
+  HttpServerConfig config;
+  config.workers = 1;
+  config.limits.read_timeout_ms = 60000;
+  HttpServer server{
+      [](const HttpRequest&) { return HttpResponse::text(200, "ok"); },
+      config};
+  ASSERT_TRUE(server.start());
+
+  TestClient idle{server.port()};  // holds the only worker
+  ASSERT_TRUE(idle.connected());
+  for (int i = 0; i < 500 && server.connections_accepted() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{10});
+  }
+  ASSERT_EQ(server.connections_accepted(), 1u);
+
+  // The handshake completes in the kernel backlog; no worker accepts it.
+  TestClient waiting{server.port()};
+  ASSERT_TRUE(waiting.connected());
+  waiting.set_read_timeout(std::chrono::seconds{5});
+  waiting.send_all("GET /x HTTP/1.1\r\nHost: x\r\n\r\n");
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{2});
+
+  // Closing the listener ends the waiting connection: EOF or a reset,
+  // never a response and never a hang (which would read EAGAIN).
+  EXPECT_EQ(waiting.read_to_eof(), "");
+  EXPECT_TRUE(waiting.end_errno() == 0 || waiting.end_errno() == ECONNRESET)
+      << "errno " << waiting.end_errno();
+  EXPECT_EQ(server.connections_accepted(), 1u);
+  EXPECT_EQ(server.requests_served(), 0u);
 }
 
 }  // namespace
