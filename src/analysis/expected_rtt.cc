@@ -51,11 +51,14 @@ void ExpectedRttLearner::observe(ExpectedRttKey key, int day, double rtt_ms) {
   if (day < 0 || rtt_ms < 0.0) {
     throw std::invalid_argument{"ExpectedRttLearner: negative day or RTT"};
   }
-  auto& history = histories_[key];
-  obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  const auto [pos, added] = histories_.insert(key.packed);
+  KeyHistory& history = histories_[pos];
+  if (added) {
+    history.key = key.packed;
+    obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  }
   if (history.days.empty() || history.days.back().day < day) {
     history.days.push_back(DayReservoir{.day = day, .seen = 0, .sample = {}});
-    keys_by_day_[day].push_back(key);  // one eviction-list entry per reservoir
   } else if (history.days.back().day > day) {
     throw std::invalid_argument{
         "ExpectedRttLearner: observations must arrive day-ordered"};
@@ -97,11 +100,18 @@ std::optional<double> ExpectedRttLearner::pooled_median(
   return util::median_inplace(pool);
 }
 
+const ExpectedRttLearner::KeyHistory* ExpectedRttLearner::find(
+    ExpectedRttKey key) const {
+  const std::uint32_t pos = histories_.find(key.packed);
+  return pos == util::FlatTable<KeyHistory>::kAbsent ? nullptr
+                                                      : &histories_[pos];
+}
+
 std::optional<double> ExpectedRttLearner::expected(ExpectedRttKey key,
                                                    int day) const {
-  const auto it = histories_.find(key);
-  if (it == histories_.end()) return std::nullopt;
-  const KeyHistory& history = it->second;
+  const KeyHistory* found = find(key);
+  if (!found) return std::nullopt;
+  const KeyHistory& history = *found;
   if (history.cache_day != day) {
     obs::add(memo_misses_c_);
     history.cache_value = pooled_median(history, day);
@@ -166,10 +176,10 @@ bool ExpectedRttLearner::recently_churned(ExpectedRttKey key, int day) const {
 
 std::size_t ExpectedRttLearner::history_size(ExpectedRttKey key,
                                              int day) const {
-  const auto it = histories_.find(key);
-  if (it == histories_.end()) return 0;
+  const KeyHistory* history = find(key);
+  if (!history) return 0;
   std::size_t n = 0;
-  for (const auto& reservoir : it->second.days) {
+  for (const auto& reservoir : history->days) {
     if (reservoir.day >= day || reservoir.day < day - config_.window_days) {
       continue;
     }
@@ -189,31 +199,34 @@ void ExpectedRttLearner::evict_stale(int day) {
     }
   }
   const int cutoff = day - config_.window_days;
-  // Only visit day buckets past the cutoff: each bucket lists the keys that
-  // created a reservoir on that day, so work tracks what expires rather
-  // than the full tracked-key count.
-  for (auto bucket = keys_by_day_.begin();
-       bucket != keys_by_day_.end() && bucket->first < cutoff;) {
-    for (const ExpectedRttKey key : bucket->second) {
-      const auto it = histories_.find(key);
-      if (it == histories_.end()) continue;  // already fully evicted
-      auto& history = it->second;
-      bool popped = false;
-      while (!history.days.empty() && history.days.front().day < cutoff) {
-        history.days.pop_front();
-        popped = true;
-        obs::add(evictions_c_);
-      }
-      // A popped reservoir may sit inside the window of a cached (older)
-      // query day, so any cached value is suspect now.
-      if (popped) history.cache_day = INT_MIN;
-      if (history.days.empty()) {
-        histories_.erase(it);  // keys that churned away must not leak
-      }
-    }
-    bucket = keys_by_day_.erase(bucket);
+  bool emptied = false;
+  for (KeyHistory& history : histories_.values()) {
+    const auto live = std::find_if(
+        history.days.begin(), history.days.end(),
+        [cutoff](const DayReservoir& r) { return r.day >= cutoff; });
+    if (live == history.days.begin()) continue;
+    obs::add(evictions_c_,
+             static_cast<std::uint64_t>(live - history.days.begin()));
+    history.days.erase(history.days.begin(), live);
+    // A popped reservoir may sit inside the window of a cached (older)
+    // query day, so any cached value is suspect now.
+    history.cache_day = INT_MIN;
+    emptied |= history.days.empty();
   }
-  obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  if (emptied) {
+    // Keys that churned away must not leak: rebuild the table from the
+    // keys that still hold a reservoir.
+    std::vector<KeyHistory> live;
+    live.reserve(histories_.size());
+    for (KeyHistory& history : histories_.values()) {
+      if (!history.days.empty()) live.push_back(std::move(history));
+    }
+    histories_.clear();
+    for (KeyHistory& history : live) {
+      histories_[histories_.insert(history.key).first] = std::move(history);
+    }
+    obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
+  }
 }
 
 void ExpectedRttLearner::save_state(store::SnapshotWriter& writer) const {
@@ -222,18 +235,22 @@ void ExpectedRttLearner::save_state(store::SnapshotWriter& writer) const {
   // so transferred provenance round-trips bit-identically).
   store::put_varint(out, 2);  // learner payload format
   store::put_varint(out, kHashMapLayoutTag);
-  std::vector<std::uint64_t> keys;
-  keys.reserve(histories_.size());
-  for (const auto& [key, history] : histories_) keys.push_back(key.packed);
-  std::sort(keys.begin(), keys.end());
-  store::put_varint(out, keys.size());
+  std::vector<const KeyHistory*> sorted;
+  sorted.reserve(histories_.size());
+  for (const KeyHistory& history : histories_.values()) {
+    sorted.push_back(&history);
+  }
+  std::sort(sorted.begin(), sorted.end(),
+            [](const KeyHistory* a, const KeyHistory* b) {
+              return a->key < b->key;
+            });
+  store::put_varint(out, sorted.size());
   std::uint64_t prev = 0;
-  for (const std::uint64_t packed : keys) {
-    const KeyHistory& history = histories_.at(ExpectedRttKey{packed});
-    store::put_varint(out, packed - prev);
-    prev = packed;
-    store::put_varint(out, history.days.size());
-    for (const DayReservoir& reservoir : history.days) {
+  for (const KeyHistory* history : sorted) {
+    store::put_varint(out, history->key - prev);
+    prev = history->key;
+    store::put_varint(out, history->days.size());
+    for (const DayReservoir& reservoir : history->days) {
       store::put_svarint(out, reservoir.day);
       store::put_varint(out, reservoir.seen);
       store::put_varint(out, reservoir.sample.size());
@@ -265,17 +282,16 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
   if (layout != kHashMapLayoutTag) {
     in.fail("unknown learner layout tag " + std::to_string(layout));
   }
-  std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories;
-  std::map<int, std::vector<ExpectedRttKey>> keys_by_day;
+  util::FlatTable<KeyHistory> histories;
   const std::uint64_t n_keys = in.varint();
   if (n_keys > (std::uint64_t{1} << 40)) in.fail("key count absurd");
-  histories.reserve(static_cast<std::size_t>(n_keys));
   std::uint64_t prev = 0;
   for (std::uint64_t k = 0; k < n_keys; ++k) {
-    prev += in.varint();
-    const ExpectedRttKey key{prev};
-    KeyHistory& history = histories[key];
+    prev = in.next_key(prev, k == 0);
+    KeyHistory& history = histories[histories.insert(prev).first];
+    history.key = prev;
     const std::uint64_t n_days = in.varint();
+    if (n_days == 0) in.fail("key without reservoirs");
     if (n_days > (std::uint64_t{1} << 32)) in.fail("day count absurd");
     int last_day = INT_MIN;
     for (std::uint64_t d = 0; d < n_days; ++d) {
@@ -297,7 +313,6 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
       for (std::uint64_t s = 0; s < n_samples; ++s) {
         reservoir.sample.push_back(in.f64());
       }
-      keys_by_day[reservoir.day].push_back(key);
       history.days.push_back(std::move(reservoir));
     }
   }
@@ -307,21 +322,18 @@ void ExpectedRttLearner::restore_state(const store::SnapshotReader& reader) {
     if (n > (std::uint64_t{1} << 40)) in.fail("transfer count absurd");
     prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-      prev += in.varint();
+      prev = in.next_key(prev, i == 0);
       TransferEntry entry;
       const std::int64_t day64 = in.svarint();
       if (day64 < 0 || day64 > INT_MAX) in.fail("transfer day out of range");
       entry.day = static_cast<int>(day64);
       entry.value = in.f64();
       entry.from_key = in.varint();
-      if (!transfers.emplace(prev, entry).second) {
-        in.fail("duplicate transfer key");
-      }
+      transfers.emplace_hint(transfers.end(), prev, entry);
     }
   }
   in.expect_done();
   histories_ = std::move(histories);
-  keys_by_day_ = std::move(keys_by_day);
   transfers_ = std::move(transfers);
   obs::set(tracked_keys_g_, static_cast<double>(histories_.size()));
 }

@@ -6,7 +6,10 @@
 // catch shifts that stay below the region target (the paper's 40 ms→55 ms
 // worked example).
 //
-// State: one hash map from key to a deque of per-day reservoirs.
+// State: one open-addressing util::FlatTable from key to its history (the
+// key stored beside a day-ascending vector of per-day reservoirs). A table
+// with no erase suits this feed: keys go stale only at day rollover, when
+// evict_stale() drops them all in one rebuild.
 //
 // The pooled median is memoized per ⟨key, query day⟩: the 14-day window only
 // changes at day rollover, yet expected() is consulted once per group per
@@ -22,10 +25,8 @@
 
 #include <climits>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/bgp.h"
@@ -33,6 +34,7 @@
 #include "net/device.h"
 #include "obs/registry.h"
 #include "store/snapshot.h"
+#include "util/flat_table.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -134,9 +136,9 @@ class ExpectedRttLearner {
 
   /// Drops per-day reservoirs older than `day - window` (memory bound) and
   /// erases keys whose history becomes empty — without the erase, churned
-  /// keys (BGP paths that stop being used) would grow the map forever.
-  /// Incremental: only day buckets past the cutoff are visited, so the cost
-  /// tracks what expires, not the total tracked-key count.
+  /// keys (BGP paths that stop being used) would grow the table forever.
+  /// One pass over the tracked keys, plus one table rebuild when a key
+  /// emptied; the pipeline calls it once per day.
   void evict_stale(int day);
 
   /// Keys with at least one live reservoir (memory-regression observability).
@@ -158,16 +160,12 @@ class ExpectedRttLearner {
     std::vector<double> sample;
   };
   struct KeyHistory {
-    std::deque<DayReservoir> days;  // ascending by day
+    std::uint64_t key = 0;  ///< packed ExpectedRttKey (rebuilds re-insert it)
+    std::vector<DayReservoir> days;  // ascending by day
     // Memoized expected() result for query day cache_day (mutable because
     // filling the cache is logically const).
     mutable int cache_day = INT_MIN;
     mutable std::optional<double> cache_value;
-  };
-  struct KeyHash {
-    std::size_t operator()(const ExpectedRttKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.packed);
-    }
   };
   /// One inherited baseline: the (undiscounted) value captured from the
   /// source at transfer time. Held outside the reservoirs: they stay
@@ -183,11 +181,11 @@ class ExpectedRttLearner {
   [[nodiscard]] std::optional<double> pooled_median(const KeyHistory& history,
                                                     int day) const;
 
+  /// The history of `key`, or null.
+  [[nodiscard]] const KeyHistory* find(ExpectedRttKey key) const;
+
   ExpectedRttConfig config_;
-  std::unordered_map<ExpectedRttKey, KeyHistory, KeyHash> histories_;
-  /// Day -> keys that created a reservoir on that day; lets evict_stale()
-  /// visit only expired reservoirs instead of scanning every tracked key.
-  std::map<int, std::vector<ExpectedRttKey>> keys_by_day_;
+  util::FlatTable<KeyHistory> histories_;
   /// Key → inherited baseline. std::map: deterministic iteration order makes
   /// the snapshot bytes reproducible.
   std::map<std::uint64_t, TransferEntry> transfers_;

@@ -1,9 +1,10 @@
 #include "core/passive.h"
 
-#include <bit>
 #include <optional>
 #include <stdexcept>
 #include <utility>
+
+#include "util/flat_table.h"
 
 namespace blameit::core {
 
@@ -82,79 +83,11 @@ struct GoodAt {
   bool multi = false;
 };
 
-/// Open-addressing (linear probing) map from a 64-bit key to a V, with the
-/// values stored densely in insertion order. Built to be reused: clear() is
-/// O(1) (slots from earlier fills go stale by epoch), and the slot array
-/// only grows, at load <= 1/2, to fit the most keys one fill has held.
-template <typename V>
-class FlatTable {
- public:
-  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
-
-  void clear() {
-    values_.clear();
-    if (++epoch_ == 0) {  // wrapped: old stamps could read as live
-      for (auto& slot : slots_) slot.epoch = 0;
-      epoch_ = 1;
-    }
-  }
-
-  /// Position of `key`'s value; a new key gets a default value (and true).
-  std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
-    if (2 * (values_.size() + 1) > slots_.size()) grow();
-    Slot& slot = probe(key);
-    if (slot.epoch == epoch_) return {slot.pos, false};
-    slot = Slot{key, static_cast<std::uint32_t>(values_.size()), epoch_};
-    values_.emplace_back();
-    return {slot.pos, true};
-  }
-
-  /// Position of `key`'s value, or kAbsent.
-  [[nodiscard]] std::uint32_t find(std::uint64_t key) {
-    if (slots_.empty()) return kAbsent;
-    const Slot& slot = probe(key);
-    return slot.epoch == epoch_ ? slot.pos : kAbsent;
-  }
-
-  V& operator[](std::uint32_t pos) { return values_[pos]; }
-
- private:
-  struct Slot {
-    std::uint64_t key = 0;
-    std::uint32_t pos = 0;
-    std::uint32_t epoch = 0;  ///< live iff equal to the table's epoch_
-  };
-
-  /// The live slot holding `key`, else the free slot where it belongs.
-  /// Fibonacci hashing (the top bits of key * 2^64/φ), then linear probing.
-  Slot& probe(std::uint64_t key) {
-    auto i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
-    while (slots_[i].epoch == epoch_ && slots_[i].key != key) {
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    return slots_[i];
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
-    shift_ = 64 - std::countr_zero(slots_.size());
-    for (const Slot& slot : old) {
-      if (slot.epoch == epoch_) probe(slot.key) = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;  ///< power-of-two size
-  std::vector<V> values_;
-  std::uint32_t epoch_ = 1;
-  int shift_ = 64;
-};
-
 }  // namespace
 
 struct PassiveLocalizer::Scratch {
-  FlatTable<Group> groups;  ///< keyed by cloud_group / middle_group
-  FlatTable<GoodAt> good;   ///< keyed by /24 block; good quartets only
+  util::FlatTable<Group> groups;  ///< keyed by cloud_group / middle_group
+  util::FlatTable<GoodAt> good;   ///< keyed by /24 block; good quartets only
   /// Per quartet: positions of its cloud and middle group in `groups`.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> group_of;
 };
@@ -311,7 +244,7 @@ std::vector<BlameResult> PassiveLocalizer::localize(
       // this quartet's.
       const auto b = s.good.find(q.key.block.block);
       const bool good_elsewhere =
-          b != FlatTable<GoodAt>::kAbsent &&
+          b != util::FlatTable<GoodAt>::kAbsent &&
           (s.good[b].multi || s.good[b].first != q.key.location.value);
       if (good_elsewhere) {
         result.blame = Blame::Ambiguous;

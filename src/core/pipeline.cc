@@ -243,13 +243,15 @@ void BlameItPipeline::learn_from(
         q.mean_rtt_ms);
   }
   // Client-volume learning per ⟨location, BGP path⟩.
-  std::unordered_map<std::uint64_t, double> users;
+  path_users_.clear();
   for (const auto& q : quartets) {
-    users[middle_issue_key(q.key.location, q.middle)] +=
-        q.sample_count / config_.samples_per_client_estimate;
+    const std::uint64_t key = middle_issue_key(q.key.location, q.middle);
+    PathUsers& path = path_users_[path_users_.insert(key).first];
+    path.key = key;
+    path.users += q.sample_count / config_.samples_per_client_estimate;
   }
-  for (const auto& [key, volume] : users) {
-    clients_.observe(key, bucket, volume);
+  for (const PathUsers& path : path_users_.values()) {
+    clients_.observe(path.key, bucket, path.users);
   }
   if (day != last_evict_day_) {
     learner_.evict_stale(day);

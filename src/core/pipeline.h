@@ -21,6 +21,7 @@
 #include "obs/registry.h"
 #include "sim/traceroute.h"
 #include "store/snapshot.h"
+#include "util/flat_table.h"
 
 namespace blameit::core {
 
@@ -172,6 +173,14 @@ class BlameItPipeline {
     util::MinuteTime until;
   };
   std::vector<ShieldEntry> shield_entries_;
+
+  /// learn_from()'s per-bucket sum of users per ⟨location, BGP path⟩;
+  /// reused across buckets.
+  struct PathUsers {
+    std::uint64_t key = 0;
+    double users = 0.0;
+  };
+  util::FlatTable<PathUsers> path_users_;
 
   util::TimeBucket next_bucket_{0};
   util::MinuteTime last_step_{0};

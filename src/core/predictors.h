@@ -8,12 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "store/encoding.h"
+#include "util/flat_table.h"
 #include "util/time.h"
 
 namespace blameit::core {
@@ -49,13 +49,32 @@ class DurationPredictor {
   void restore(store::ByteReader& in);
 
  private:
-  [[nodiscard]] const std::vector<int>& pool_for(std::uint64_t key) const;
-  [[nodiscard]] static double expected_remaining_from(
-      const std::vector<int>& durations, int elapsed, int horizon);
+  /// One duration pool: the durations in arrival order (what save writes)
+  /// and a survival index kept current by add() — the distinct durations
+  /// ascending, each with how many durations are >= it — so a query counts
+  /// survivors by lookup instead of rescanning the pool per horizon step.
+  struct Pool {
+    std::vector<int> durations;
+    std::vector<int> distinct;
+    std::vector<std::size_t> at_least;  ///< per `distinct` entry
+
+    void add(int duration);
+    /// Index into `distinct` of the first duration >= v.
+    [[nodiscard]] std::size_t first_at_least(int v) const;
+    /// Durations >= distinct[i]; 0 past the end.
+    [[nodiscard]] std::size_t count_from(std::size_t i) const noexcept {
+      return i < at_least.size() ? at_least[i] : 0;
+    }
+  };
+
+  [[nodiscard]] const Pool& pool_for(std::uint64_t key) const;
+  [[nodiscard]] static double expected_remaining_from(const Pool& pool,
+                                                      int elapsed,
+                                                      int horizon);
 
   int horizon_;
-  std::unordered_map<std::uint64_t, std::vector<int>> per_key_;
-  std::vector<int> global_;
+  std::unordered_map<std::uint64_t, Pool> per_key_;
+  Pool global_;
   /// Minimum closed incidents before a key's own history is trusted.
   static constexpr std::size_t kMinKeyHistory = 8;
 };
@@ -66,7 +85,7 @@ class ClientVolumePredictor {
   explicit ClientVolumePredictor(int window_days = 3);
 
   /// Records the observed active clients for `key` in `bucket` (fed every
-  /// bucket, incident or not).
+  /// bucket, incident or not). Buckets before time zero are rejected.
   void observe(std::uint64_t key, util::TimeBucket bucket, double users);
 
   /// Mean users for the same bucket-of-day over the past window_days days;
@@ -77,20 +96,44 @@ class ClientVolumePredictor {
   /// Drops observations older than the window (call once per day).
   void evict_stale(int current_day);
 
-  /// Appends all per-⟨key, bucket-of-day⟩ histories in key-sorted normal
-  /// form (deque order preserved within a slot).
+  /// Appends every fed ⟨key, bucket-of-day⟩ slot's history in key-sorted
+  /// normal form (arrival order preserved within a slot).
   void save(std::string& out) const;
   /// Replaces the history from `in`; commits only after a clean parse.
   void restore(store::ByteReader& in);
 
  private:
-  struct Slot {
-    // (day, users) pairs for one bucket-of-day, most recent last.
-    std::deque<std::pair<int, double>> history;
+  /// One observation of a slot.
+  struct Cell {
+    int day = 0;
+    double users = 0.0;
   };
+
+  /// Row layout: per key, kBucketsPerDay slots of window_days + 1 cells
+  /// (the most a slot ever keeps) plus one length per slot. Paths are fed
+  /// every bucket, so a dense row wastes little and needs no per-slot node.
+  [[nodiscard]] std::size_t slot_index(std::uint32_t row, int bod) const {
+    return static_cast<std::size_t>(row) * util::kBucketsPerDay +
+           static_cast<std::size_t>(bod);
+  }
+  [[nodiscard]] Cell* slot_cells(std::size_t slot) {
+    return cells_.data() + slot * slot_cells_;
+  }
+  [[nodiscard]] const Cell* slot_cells(std::size_t slot) const {
+    return cells_.data() + slot * slot_cells_;
+  }
+  /// Appends a zeroed row for a newly inserted key.
+  void add_row();
+
   int window_days_;
-  // key -> bucket_of_day -> history
-  std::unordered_map<std::uint64_t, std::unordered_map<int, Slot>> data_;
+  std::size_t slot_cells_;  ///< window_days + 1
+  /// key -> row number (the value is the key itself, for save()).
+  util::FlatTable<std::uint64_t> rows_;
+  /// Per slot, its cells (oldest first); cells past the length are unused.
+  std::vector<Cell> cells_;
+  /// Per slot, how many cells hold history; -1 = the slot was never fed,
+  /// 0 = fed but every cell since evicted (still saved).
+  std::vector<std::int32_t> lengths_;
 };
 
 }  // namespace blameit::core

@@ -89,6 +89,13 @@ std::uint64_t ByteReader::varint() {
 
 std::int64_t ByteReader::svarint() { return unzigzag(varint()); }
 
+std::uint64_t ByteReader::next_key(std::uint64_t prev, bool first) {
+  const std::uint64_t delta = varint();
+  if (first) return delta;
+  if (delta == 0 || prev + delta < prev) fail("duplicate or out-of-order key");
+  return prev + delta;
+}
+
 double ByteReader::f64() {
   const std::uint64_t bits = u64();
   double v;

@@ -64,6 +64,11 @@ class ByteReader {
   [[nodiscard]] std::string_view string();
   /// Raw byte run of exactly `n` bytes.
   [[nodiscard]] std::string_view bytes(std::size_t n);
+  /// Next key of a strictly ascending, delta-coded key list (a varint delta
+  /// from `prev`; the `first` key's delta is from 0). A zero delta after the
+  /// first key, or one that wraps past 2^64, fails as a duplicate key rather
+  /// than being read as a second record for an earlier key.
+  [[nodiscard]] std::uint64_t next_key(std::uint64_t prev, bool first);
 
   [[nodiscard]] std::size_t remaining() const noexcept {
     return data_.size() - pos_;

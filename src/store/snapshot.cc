@@ -1,5 +1,10 @@
 #include "store/snapshot.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -57,15 +62,50 @@ std::string SnapshotWriter::serialize() const {
 
 void SnapshotWriter::write_file(const std::string& path) const {
   const std::string bytes = serialize();
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) {
-    throw SnapshotError{"snapshot " + path + ": cannot open for writing"};
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&](const std::string& what) {
+    throw SnapshotError{"snapshot " + path + ": " + what + ": " +
+                        std::strerror(errno)};
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) fail("cannot open " + tmp + " for writing");
+  // From here on a failure removes the temp file; the live file is only
+  // ever replaced whole, by the rename.
+  const auto fail_and_remove = [&](const std::string& what) {
+    const int saved = errno;
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    errno = saved;
+    fail(what);
+  };
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) fail_and_remove("write failed");
+    done += static_cast<std::size_t>(n);
   }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    throw SnapshotError{"snapshot " + path + ": write failed"};
+  if (::fsync(fd) != 0) fail_and_remove("fsync failed");
+  if (::close(fd) != 0) {
+    ::unlink(tmp.c_str());
+    fail("close failed");
   }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    errno = saved;
+    fail("rename into place failed");
+  }
+  // Make the rename itself durable.
+  const std::size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) fail("cannot open directory " + dir);
+  const bool synced = ::fsync(dir_fd) == 0;
+  ::close(dir_fd);
+  if (!synced) fail("fsync of directory " + dir + " failed");
 }
 
 SnapshotReader SnapshotReader::from_file(const std::string& path) {

@@ -37,16 +37,20 @@ inline constexpr std::string_view kSnapshotMagic = "BLMTSNAP";
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /// Accumulates named sections in memory, then writes the whole file at
-/// once (write to a temp buffer, single ofstream write) so a crash mid-save
-/// cannot leave a half-written file that passes the header check.
+/// once.
 class SnapshotWriter {
  public:
   /// Starts a new section and returns its payload buffer; append with the
   /// put_* helpers. Section names must be unique per snapshot.
   std::string& section(std::string name);
 
-  /// Serializes header + all sections. Throws SnapshotError on I/O failure
-  /// or duplicate section names.
+  /// Serializes header + all sections to `<path>.tmp`, fsyncs it, renames
+  /// it over `path` and fsyncs the directory, so a crash at any point
+  /// leaves either the previous file or the new one, never a torn one.
+  /// Throws SnapshotError on I/O failure. A failure up to and including
+  /// the rename leaves the previous file intact and removes the temp file
+  /// this call created; only the final directory fsync can fail after the
+  /// new file is in place.
   void write_file(const std::string& path) const;
 
   /// The full serialized byte stream (what write_file persists) — used by

@@ -5,18 +5,6 @@
 
 namespace blameit::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t key) noexcept {
-  std::uint64_t state = seed ^ (key + 0x9E3779B97F4A7C15ull);
-  return splitmix64(state);
-}
-
 std::uint64_t fnv1a(std::string_view s) noexcept {
   std::uint64_t h = 0xCBF29CE484222325ull;
   for (unsigned char c : s) {

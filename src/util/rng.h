@@ -13,12 +13,21 @@
 namespace blameit::util {
 
 /// Mixes a 64-bit state into a well-distributed output; used for seeding and
-/// for cheap stateless hashing of ids into streams.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// for cheap stateless hashing of ids into streams. Inline: the learner's
+/// reservoir sampling calls it twice per observation.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// Stateless hash of (seed, key) — handy for deriving per-entity substreams.
-[[nodiscard]] std::uint64_t hash_combine(std::uint64_t seed,
-                                         std::uint64_t key) noexcept;
+[[nodiscard]] inline std::uint64_t hash_combine(std::uint64_t seed,
+                                                std::uint64_t key) noexcept {
+  std::uint64_t state = seed ^ (key + 0x9E3779B97F4A7C15ull);
+  return splitmix64(state);
+}
 
 /// FNV-1a hash of a string, for deriving substreams from names.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view s) noexcept;

@@ -3,6 +3,7 @@
 // bit-flipped snapshot files (which must fail loudly, naming the offset).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "store/encoding.h"
@@ -105,6 +106,85 @@ TEST(SnapshotContainer, WrongMagicAndVersionAreRejected) {
   bad_version[8] = static_cast<char>(0xEE);  // version u32, little-endian
   EXPECT_THROW((void)SnapshotReader::from_bytes(bad_version, "<version>"),
                SnapshotError);
+}
+
+/// A fresh directory under the system temp dir, removed on scope exit.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    path_ = std::filesystem::temp_directory_path() /
+            (std::string{"blameit_snapshot_"} + info->name());
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  [[nodiscard]] std::string file(const std::string& name) const {
+    return (path_ / name).string();
+  }
+  [[nodiscard]] std::filesystem::path path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+SnapshotWriter one_section_writer(std::uint64_t value) {
+  SnapshotWriter writer;
+  put_varint(writer.section("cursor"), value);
+  return writer;
+}
+
+std::uint64_t cursor_of(const std::string& path) {
+  const auto reader = SnapshotReader::from_file(path);
+  auto in = reader.section("cursor");
+  return in.varint();
+}
+
+TEST(SnapshotFile, WriteReplacesWholeFileAndLeavesNoTemp) {
+  const ScratchDir dir;
+  const std::string path = dir.file("state.snap");
+  one_section_writer(1).write_file(path);
+  EXPECT_EQ(cursor_of(path), 1u);
+  one_section_writer(2).write_file(path);
+  EXPECT_EQ(cursor_of(path), 2u);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator{dir.path()},
+                          std::filesystem::directory_iterator{}),
+            1);
+}
+
+TEST(SnapshotFile, FailedWriteKeepsPreviousSnapshot) {
+  const ScratchDir dir;
+  const std::string path = dir.file("state.snap");
+  one_section_writer(7).write_file(path);
+  // A directory where the temp file must go makes the write fail before
+  // the live file is touched.
+  std::filesystem::create_directory(path + ".tmp");
+  try {
+    one_section_writer(8).write_file(path);
+    FAIL() << "expected SnapshotError";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string{e.what()}.find(path), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cursor_of(path), 7u);
+  EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_empty(path + ".tmp"));
+  // Nothing but the old snapshot and the obstacle.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator{dir.path()},
+                          std::filesystem::directory_iterator{}),
+            2);
+}
+
+TEST(SnapshotFile, FailedRenameRemovesTemp) {
+  const ScratchDir dir;
+  // The live path is a non-empty directory: the temp file is written, the
+  // rename over it fails, and the temp file is removed again.
+  const std::string path = dir.file("state.snap");
+  std::filesystem::create_directories(path + "/occupied");
+  EXPECT_THROW(one_section_writer(3).write_file(path), SnapshotError);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path + "/occupied"));
 }
 
 }  // namespace
