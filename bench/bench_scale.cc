@@ -44,9 +44,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Verdict-state ceiling per client /24: one working map entry plus its
-// published copy, 2 x (64-byte node payload + 48 bytes bookkeeping), as
-// measured at 100K /24s (21.4 MB for 100,352 blocks). Never loosen it.
+// Verdict-state ceiling per client /24, set at the level of the old hash-map
+// store (a working map entry plus its published copy, 21.4 MB for 100,352
+// blocks). The flat shard tables measure 98 B per /24 at 100K /24s (9.4 MB:
+// each shard's slot array at load <= 1/2 plus its 56-byte values, counted
+// at allocated capacity). Never loosen it.
 constexpr double kMaxVerdictBytesPerBlock = 224.0;
 
 double ms_since(Clock::time_point t0) {

@@ -68,11 +68,14 @@ void BaselineStore::save(std::string& out) const {
 void BaselineStore::restore(store::ByteReader& in) {
   std::unordered_map<std::uint64_t, std::vector<Baseline>> baselines;
   const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("baseline key count absurd");
+  // A key record is at least 2 bytes (key delta, history length).
+  if (n_keys > in.remaining() / 2) {
+    in.fail("baseline key count exceeds section");
+  }
   baselines.reserve(static_cast<std::size_t>(n_keys));
   std::uint64_t prev = 0;
   for (std::uint64_t k = 0; k < n_keys; ++k) {
-    prev += in.varint();
+    prev = in.next_key(prev, k == 0);
     const std::uint64_t n = in.varint();
     if (n > kHistory) in.fail("baseline history exceeds retention");
     auto& history = baselines[prev];

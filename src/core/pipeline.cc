@@ -33,10 +33,12 @@ BlameItPipeline::BlameItPipeline(const net::Topology* topology,
     throw std::invalid_argument{"BlameItConfig: invalid cadence or budget"};
   }
   // Learning stays serial on purpose: reservoir sampling is order-sensitive.
+  source_ms_h_ = obs::histogram(registry, "step.source_ms");
   learn_ms_h_ = obs::histogram(registry, "step.learn_ms");
   localize_ms_h_ = obs::histogram(registry, "step.localize_ms");
   active_ms_h_ = obs::histogram(registry, "step.active_ms");
   background_ms_h_ = obs::histogram(registry, "step.background_ms");
+  publish_ms_h_ = obs::histogram(registry, "step.publish_ms");
   total_ms_h_ = obs::histogram(registry, "step.total_ms");
   on_demand_probes_c_ = obs::counter(registry, "pipeline.on_demand_probes");
   background_probes_c_ = obs::counter(registry, "pipeline.background_probes");
@@ -175,11 +177,12 @@ void BlameItPipeline::restore_snapshot(const store::SnapshotReader& reader) {
     }
     std::unordered_map<std::uint64_t, OpenRun> open_runs;
     const std::uint64_t n_runs = in.varint();
-    if (n_runs > (std::uint64_t{1} << 32)) in.fail("open-run count absurd");
+    // An open run is at least 3 bytes (key delta, last bucket, length).
+    if (n_runs > in.remaining() / 3) in.fail("open-run count exceeds section");
     open_runs.reserve(static_cast<std::size_t>(n_runs));
     std::uint64_t prev = 0;
     for (std::uint64_t r = 0; r < n_runs; ++r) {
-      prev += in.varint();
+      prev = in.next_key(prev, r == 0);
       OpenRun run;
       run.last = util::TimeBucket{in.svarint()};
       const std::int64_t length = in.svarint();
@@ -190,8 +193,9 @@ void BlameItPipeline::restore_snapshot(const store::SnapshotReader& reader) {
     std::vector<ShieldEntry> shields;
     if (format >= 2) {
       const std::uint64_t n_shields = in.varint();
-      if (n_shields > (std::uint64_t{1} << 32)) {
-        in.fail("shield entry count absurd");
+      // A shield entry is at least 4 bytes (one per field).
+      if (n_shields > in.remaining() / 4) {
+        in.fail("shield entry count exceeds section");
       }
       shields.reserve(static_cast<std::size_t>(n_shields));
       for (std::uint64_t s = 0; s < n_shields; ++s) {
@@ -295,7 +299,11 @@ StepReport BlameItPipeline::step(util::MinuteTime now) {
     if (churn_aware) {
       apply_churn_events(churn, churn_cursor, bucket.next().start());
     }
-    auto quartets = source_(bucket);
+    std::vector<analysis::Quartet> quartets;
+    {
+      const obs::ScopedTimer source_span{nullptr, &report.stages.source_ms};
+      quartets = source_(bucket);
+    }
     {
       const obs::ScopedTimer learn_span{learn_ms_h_,
                                         &report.stages.learn_ms};
@@ -454,11 +462,17 @@ StepReport BlameItPipeline::step(util::MinuteTime now) {
            static_cast<std::uint64_t>(report.background_probes));
   obs::add(active_retries_c_,
            static_cast<std::uint64_t>(report.active_retries));
+  obs::record(source_ms_h_, report.stages.source_ms);
   report.stages.total_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - step_t0)
                                .count();
+  {
+    const obs::ScopedTimer publish_span{publish_ms_h_,
+                                        &report.stages.publish_ms};
+    if (observer_) observer_(report);
+  }
+  report.stages.total_ms += report.stages.publish_ms;
   obs::record(total_ms_h_, report.stages.total_ms);
-  if (observer_) observer_(report);
   return report;
 }
 

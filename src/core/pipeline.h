@@ -32,11 +32,17 @@ struct StepReport {
   /// every step (a handful of clock reads); mirrored into the registry's
   /// step.*_ms histograms when one is attached.
   struct StageTimings {
+    double source_ms = 0.0;      ///< inside the quartet source, all buckets
     double learn_ms = 0.0;       ///< expected-RTT + predictor learning
     double localize_ms = 0.0;    ///< Algorithm 1 across the step's buckets
     double active_ms = 0.0;      ///< ranking + on-demand traceroutes
     double background_ms = 0.0;  ///< periodic/churn baseline probes
-    double total_ms = 0.0;       ///< whole step() call
+    /// Inside the step observer (e.g. the verdict-store publish). Known
+    /// only once the observer returns, so the observer itself reads 0.
+    double publish_ms = 0.0;
+    /// Whole step() call. The observer reads the time up to its own call;
+    /// the returned report's total includes publish_ms.
+    double total_ms = 0.0;
   };
 
   util::MinuteTime now;
@@ -86,8 +92,9 @@ class BlameItPipeline {
   /// Invoked at the very end of every step() with the finished report —
   /// this is how the service layer publishes into its VerdictStore without
   /// the pipeline knowing the service exists. Runs on the step thread,
-  /// after all stage timings are recorded; it must not call back into the
-  /// pipeline. The observer only sees the report, so pipeline output is
+  /// after every other stage timing is recorded (its own time becomes
+  /// stages.publish_ms of the returned report); it must not call back into
+  /// the pipeline. The observer only sees the report, so pipeline output is
   /// identical with or without one.
   using StepObserver = std::function<void(const StepReport&)>;
   void set_step_observer(StepObserver observer) {
@@ -188,10 +195,12 @@ class BlameItPipeline {
   StepObserver observer_;
 
   // Instruments (null without a registry).
+  obs::Histogram* source_ms_h_ = nullptr;
   obs::Histogram* learn_ms_h_ = nullptr;
   obs::Histogram* localize_ms_h_ = nullptr;
   obs::Histogram* active_ms_h_ = nullptr;
   obs::Histogram* background_ms_h_ = nullptr;
+  obs::Histogram* publish_ms_h_ = nullptr;
   obs::Histogram* total_ms_h_ = nullptr;
   obs::Counter* on_demand_probes_c_ = nullptr;
   obs::Counter* background_probes_c_ = nullptr;

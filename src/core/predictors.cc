@@ -250,7 +250,10 @@ void ClientVolumePredictor::save(std::string& out) const {
 void ClientVolumePredictor::restore(store::ByteReader& in) {
   ClientVolumePredictor restored{window_days_};
   const std::uint64_t n_keys = in.varint();
-  if (n_keys > (std::uint64_t{1} << 40)) in.fail("client key count absurd");
+  // Each key costs a dense row, so its count is checked against the input
+  // before any row exists: a key record is at least 4 bytes (key delta,
+  // slot count, one slot's bucket-of-day and length).
+  if (n_keys > in.remaining() / 4) in.fail("client key count exceeds section");
   std::uint64_t prev = 0;
   for (std::uint64_t k = 0; k < n_keys; ++k) {
     prev = in.next_key(prev, k == 0);

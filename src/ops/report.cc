@@ -24,10 +24,12 @@ std::string render_step(const core::StepReport& report,
   if (report.degraded_passive_only) {
     oss << " | DEGRADED: engine outage, passive-only";
   }
-  oss << " | stages(ms): learn=" << util::fmt(report.stages.learn_ms, 2)
+  oss << " | stages(ms): source=" << util::fmt(report.stages.source_ms, 2)
+      << " learn=" << util::fmt(report.stages.learn_ms, 2)
       << " localize=" << util::fmt(report.stages.localize_ms, 2)
       << " active=" << util::fmt(report.stages.active_ms, 2)
       << " background=" << util::fmt(report.stages.background_ms, 2)
+      << " publish=" << util::fmt(report.stages.publish_ms, 2)
       << " total=" << util::fmt(report.stages.total_ms, 2);
   if (!report.ranked_issues.empty()) {
     const auto& top = report.ranked_issues.front();

@@ -1,8 +1,8 @@
 #include "svc/verdict_store.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <tuple>
 
 namespace blameit::svc {
 
@@ -22,8 +22,24 @@ constexpr std::uint64_t client_run_key(net::AsId as) noexcept {
   return (std::uint64_t{3} << 62) | as.value;
 }
 
-// Rough per-entry bookkeeping cost of an unordered_map node.
-constexpr std::size_t kHashNodeOverhead = 48;
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+// Smallest encodings, for bounding declared counts by the bytes left: a
+// verdict row is 17 bytes (nine 1-byte fields and one f64 across the
+// columns), an open run 17 (u64 key, eight 1-byte incident fields, bucket),
+// a closed incident 8, a diagnosis 29 (thirteen 1-byte fields, hop count
+// included, and two f64s).
+constexpr std::size_t kMinRowBytes = 17;
+constexpr std::size_t kMinOpenRunBytes = 17;
+constexpr std::size_t kMinIncidentBytes = 8;
+constexpr std::size_t kMinDiagnosisBytes = 29;
+
+/// The total order incidents are answered in (see incidents_since).
+auto incident_rank(const Incident& inc) {
+  return std::make_tuple(inc.first_seen, inc.category, inc.location,
+                         inc.middle, inc.faulty_as, inc.last_seen,
+                         inc.buckets, inc.grade, inc.open);
+}
 
 void put_incident(std::string& out, const Incident& inc) {
   store::put_varint(out, static_cast<std::uint64_t>(inc.category));
@@ -42,7 +58,11 @@ void put_incident(std::string& out, const Incident& inc) {
 /// exists from format 2 on (format-1 snapshots predate grades — Fresh).
 Incident read_incident(store::ByteReader& in, std::uint64_t format) {
   Incident inc;
-  inc.category = static_cast<core::Blame>(in.varint());
+  const std::uint64_t category = in.varint();
+  if (category > static_cast<std::uint64_t>(core::Blame::Client)) {
+    in.fail("incident category out of range");
+  }
+  inc.category = static_cast<core::Blame>(category);
   inc.location.value = static_cast<std::uint16_t>(in.varint());
   if (const std::uint64_t mid = in.varint(); mid != 0) {
     inc.middle = net::MiddleSegmentId{static_cast<std::uint32_t>(mid - 1)};
@@ -116,7 +136,11 @@ DiagnosisRecord read_diagnosis(store::ByteReader& in) {
     d.culprit = net::AsId{static_cast<std::uint32_t>(as - 1)};
   }
   d.culprit_increase_ms = in.f64();
-  d.confidence = static_cast<core::DiagnosisConfidence>(in.varint());
+  const std::uint64_t confidence = in.varint();
+  if (confidence > static_cast<std::uint64_t>(core::DiagnosisConfidence::Low)) {
+    in.fail("diagnosis confidence out of range");
+  }
+  d.confidence = static_cast<core::DiagnosisConfidence>(confidence);
   d.probes_spent = static_cast<int>(in.svarint());
   d.retries = static_cast<int>(in.svarint());
   sim::TracerouteResult& p = d.probe;
@@ -131,7 +155,7 @@ DiagnosisRecord read_diagnosis(store::ByteReader& in) {
   p.no_route = (pbits & 8) != 0;
   p.in_outage = (pbits & 16) != 0;
   const std::uint64_t n_hops = in.varint();
-  if (n_hops > (std::uint64_t{1} << 20)) in.fail("hop count absurd");
+  if (n_hops > in.remaining() / 9) in.fail("hop count exceeds section");
   p.hops.reserve(static_cast<std::size_t>(n_hops));
   for (std::uint64_t h = 0; h < n_hops; ++h) {
     sim::TracerouteHop hop;
@@ -148,8 +172,8 @@ VerdictStore::VerdictStore(Config config) : config_(config) {
   if (config_.verdict_retention_buckets < 1) {
     throw std::invalid_argument{"VerdictStore: retention must be >= 1"};
   }
-  const auto empty = std::make_shared<const ShardMap>();
-  for (auto& shard : shards_) shard.store(empty);
+  const auto empty = std::make_shared<const ShardTable>();
+  for (std::size_t s = 0; s < kShards; ++s) install_shard(s, empty);
   timeline_.store(std::make_shared<const Timeline>());
   auto* r = config_.registry;
   publishes_c_ = obs::counter(r, "svc.store.publishes");
@@ -159,23 +183,27 @@ VerdictStore::VerdictStore(Config config) : config_(config) {
   lookups_c_ = obs::counter(r, "svc.store.lookups");
 }
 
+void VerdictStore::install_shard(std::size_t s, ShardPtr table) {
+  std::int64_t oldest = kNoBucket;
+  for (const Verdict& v : table->values()) {
+    oldest = std::min(oldest, v.bucket.index);
+  }
+  oldest_[s] = oldest;
+  published_[s] = table;
+  shards_[s].store(std::move(table));
+}
+
 void VerdictStore::publish(const core::StepReport& report) {
   const obs::ScopedTimer span{publish_ms_h_};
   ++steps_;
   degraded_steps_ += report.degraded_passive_only;
 
+  index_diagnoses(report);
   fold_blames(report);
   fold_incidents(report);
 
-  // Swap the shards that changed. Readers that loaded the old pointer keep
-  // a consistent (just slightly stale) view until they drop it.
   std::size_t live = 0;
-  for (std::size_t i = 0; i < work_.size(); ++i) {
-    live += work_[i].size();
-    if (!dirty_[i]) continue;
-    shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
-    dirty_[i] = false;
-  }
+  for (const auto& table : published_) live += table->size();
   publish_timeline(
       Health{.epoch = epoch_.load(std::memory_order_relaxed) + 1,
              .last_step = report.now,
@@ -189,145 +217,205 @@ void VerdictStore::publish(const core::StepReport& report) {
   obs::set(open_incidents_g_, static_cast<double>(open_runs_.size()));
 }
 
-void VerdictStore::fold_blames(const core::StepReport& report) {
-  // Active diagnoses of this step, matched to Middle verdicts by
-  // ⟨location, BGP path⟩.
-  std::map<std::pair<std::uint32_t, std::uint32_t>,
-           const core::ActiveDiagnosis*>
-      diag_by_issue;
-  for (const auto& d : report.diagnoses) {
-    diag_by_issue[{d.location.value, d.middle.value}] = &d;
+void VerdictStore::index_diagnoses(const core::StepReport& report) {
+  // This step's active diagnoses by ⟨location, BGP path⟩. A later diagnosis
+  // of the same issue wins; the culprit comes from the latest one that
+  // named one.
+  diag_index_.clear();
+  for (std::size_t i = 0; i < report.diagnoses.size(); ++i) {
+    const core::ActiveDiagnosis& d = report.diagnoses[i];
+    DiagnosisIndex& entry =
+        diag_index_[diag_index_.insert(middle_run_key(d.location, d.middle))
+                        .first];
+    entry.last = static_cast<std::int32_t>(i);
+    if (d.culprit) entry.last_with_culprit = static_cast<std::int32_t>(i);
+    entry.probed_cold |= d.grade == core::BaselineGrade::ProbedCold;
   }
+}
 
-  for (const auto& b : report.blames) {
-    Verdict v;
-    v.block = b.quartet.key.block;
-    v.location = b.quartet.key.location;
-    v.middle = b.quartet.middle;
-    v.client_as = b.quartet.client_as;
-    v.blame = b.blame;
-    v.faulty_as = b.faulty_as;
-    v.grade = b.grade;
-    v.bucket = b.quartet.key.bucket;
-    v.mean_rtt_ms = b.quartet.mean_rtt_ms;
-    v.sample_count = b.quartet.sample_count;
-    switch (b.blame) {
-      case core::Blame::Cloud:
-      case core::Blame::Client:
-        // Passive elimination pinned these down (§4.2).
-        v.confidence = core::DiagnosisConfidence::High;
-        break;
-      case core::Blame::Middle: {
-        v.confidence = core::DiagnosisConfidence::Low;
-        const auto it = diag_by_issue.find(
-            {v.location.value, v.middle.value});
-        if (it != diag_by_issue.end()) {
-          const auto* d = it->second;
-          v.confidence = d->confidence;
-          v.from_active = true;
-          v.baseline_predates_issue = d->baseline_predates_issue;
-          if (d->culprit) v.faulty_as = d->culprit;
-          // A probed-cold diagnosis supersedes the passive grade: the
-          // faulty-AS verdict the reader sees rests on the cold-path
-          // measurement, not the (absent or inherited) learned median.
-          if (d->grade == core::BaselineGrade::ProbedCold) v.grade = d->grade;
-        }
-        break;
+Verdict VerdictStore::make_verdict(const core::StepReport& report,
+                                   const core::BlameResult& b) const {
+  Verdict v;
+  v.block = b.quartet.key.block;
+  v.location = b.quartet.key.location;
+  v.middle = b.quartet.middle;
+  v.client_as = b.quartet.client_as;
+  v.blame = b.blame;
+  v.faulty_as = b.faulty_as;
+  v.grade = b.grade;
+  v.bucket = b.quartet.key.bucket;
+  v.mean_rtt_ms = b.quartet.mean_rtt_ms;
+  v.sample_count = b.quartet.sample_count;
+  switch (b.blame) {
+    case core::Blame::Cloud:
+    case core::Blame::Client:
+      // Passive elimination pinned these down (§4.2).
+      v.confidence = core::DiagnosisConfidence::High;
+      break;
+    case core::Blame::Middle: {
+      v.confidence = core::DiagnosisConfidence::Low;
+      const std::uint32_t pos =
+          diag_index_.find(middle_run_key(v.location, v.middle));
+      if (pos != util::FlatTable<DiagnosisIndex>::kAbsent) {
+        const auto& d = report.diagnoses[static_cast<std::size_t>(
+            diag_index_[pos].last)];
+        v.confidence = d.confidence;
+        v.from_active = true;
+        v.baseline_predates_issue = d.baseline_predates_issue;
+        if (d.culprit) v.faulty_as = d.culprit;
+        // A probed-cold diagnosis supersedes the passive grade: the
+        // faulty-AS verdict the reader sees rests on the cold-path
+        // measurement, not the (absent or inherited) learned median.
+        if (d.grade == core::BaselineGrade::ProbedCold) v.grade = d.grade;
       }
-      case core::Blame::Ambiguous:
-      case core::Blame::Insufficient:
-        v.confidence = core::DiagnosisConfidence::Low;
-        break;
+      break;
     }
-    newest_bucket_ = std::max(newest_bucket_, v.bucket);
-    const auto shard = shard_of(v.block);
-    work_[shard][key_of(v.block, v.location)] = v;
-    dirty_[shard] = true;
+    case core::Blame::Ambiguous:
+    case core::Blame::Insufficient:
+      v.confidence = core::DiagnosisConfidence::Low;
+      break;
+  }
+  return v;
+}
+
+void VerdictStore::fold_blames(const core::StepReport& report) {
+  for (auto& upserts : upserts_) upserts.clear();
+  for (std::size_t i = 0; i < report.blames.size(); ++i) {
+    const auto& key = report.blames[i].quartet.key;
+    newest_bucket_ = std::max(newest_bucket_, key.bucket);
+    upserts_[shard_of(key.block)].push_back(static_cast<std::uint32_t>(i));
   }
 
-  // Age out verdicts that fell off the retention window.
+  // Only shards that took a blame, or whose oldest verdict fell off the
+  // retention window, are rebuilt; the rest keep their published table.
   const std::int64_t horizon =
       newest_bucket_.index - config_.verdict_retention_buckets;
-  for (std::size_t i = 0; i < work_.size(); ++i) {
-    for (auto it = work_[i].begin(); it != work_[i].end();) {
-      if (it->second.bucket.index <= horizon) {
-        it = work_[i].erase(it);
-        dirty_[i] = true;
-      } else {
-        ++it;
-      }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    if (!upserts_[s].empty() || oldest_[s] <= horizon) {
+      rebuild_shard(s, report, horizon);
     }
   }
 }
 
-void VerdictStore::fold_incidents(const core::StepReport& report) {
-  // Culprits named by this step's active phase, for middle-run enrichment.
-  std::map<std::uint64_t, net::AsId> culprit_of;
-  std::map<std::uint64_t, core::BaselineGrade> diag_grade_of;
-  for (const auto& d : report.diagnoses) {
-    if (d.culprit) {
-      culprit_of[middle_run_key(d.location, d.middle)] = *d.culprit;
-    }
-    if (d.grade == core::BaselineGrade::ProbedCold) {
-      diag_grade_of[middle_run_key(d.location, d.middle)] = d.grade;
+void VerdictStore::rebuild_shard(std::size_t s, const core::StepReport& report,
+                                 std::int64_t horizon) {
+  // This step's blames for the shard, one per key: the later blame wins.
+  shard_step_.clear();
+  for (const std::uint32_t i : upserts_[s]) {
+    const auto& key = report.blames[i].quartet.key;
+    shard_step_[shard_step_.insert(key_of(key.block, key.location)).first] = i;
+  }
+  const ShardTable& old = *published_[s];
+  survivors_.clear();
+  for (std::uint32_t pos = 0; pos < old.size(); ++pos) {
+    const Verdict& v = old[pos];
+    if (v.bucket.index > horizon &&
+        shard_step_.find(key_of(v.block, v.location)) ==
+            util::FlatTable<std::uint32_t>::kAbsent) {
+      survivors_.push_back(pos);
     }
   }
+  std::size_t n = survivors_.size();
+  for (const std::uint32_t i : shard_step_.values()) {
+    n += report.blames[i].quartet.key.bucket.index > horizon;
+  }
 
-  // Group this report's blames into per-bucket run-key sets, processed in
-  // bucket order — a step may span several buckets and a run must extend
-  // through each.
-  struct KeyInfo {
-    Incident proto;  // template used when the run opens
+  auto next = std::make_shared<ShardTable>();
+  next->reserve(n);
+  const auto add = [&](const Verdict& v) {
+    (*next)[next->insert(key_of(v.block, v.location)).first] = v;
   };
-  std::map<std::int64_t, std::map<std::uint64_t, KeyInfo>> by_bucket;
+  for (const std::uint32_t pos : survivors_) add(old[pos]);
+  for (const std::uint32_t i : shard_step_.values()) {
+    // A blame already past the horizon ages out in the step it lands.
+    if (report.blames[i].quartet.key.bucket.index > horizon) {
+      add(make_verdict(report, report.blames[i]));
+    }
+  }
+  install_shard(s, std::move(next));
+}
+
+void VerdictStore::fold_incidents(const core::StepReport& report) {
+  // This step's distinct ⟨bucket, run key⟩ entries, deduped as the blames
+  // are read: each run key chains its entries, one per bucket it drew
+  // blame in (a step may span several buckets, and a run must extend
+  // through each).
+  run_heads_.clear();
+  runs_.clear();
+  const auto entry_of = [&](std::uint32_t head, std::int64_t bucket) {
+    for (std::uint32_t e = head; e != kNone; e = runs_[e].next) {
+      if (runs_[e].bucket == bucket) return e;
+    }
+    return kNone;
+  };
   for (const auto& b : report.blames) {
     std::uint64_t key = 0;
-    Incident proto;
-    proto.location = b.quartet.key.location;
-    proto.grade = b.grade;
     switch (b.blame) {
       case core::Blame::Cloud:
         key = cloud_run_key(b.quartet.key.location);
-        proto.category = core::Blame::Cloud;
-        proto.faulty_as = b.faulty_as;
         break;
       case core::Blame::Middle:
         key = middle_run_key(b.quartet.key.location, b.quartet.middle);
-        proto.category = core::Blame::Middle;
-        proto.middle = b.quartet.middle;
         break;
       case core::Blame::Client:
         key = client_run_key(b.quartet.client_as);
-        proto.category = core::Blame::Client;
-        proto.faulty_as = b.faulty_as;
         break;
       default:
         continue;  // Ambiguous/Insufficient never form incidents
     }
-    const auto [slot, inserted] =
-        by_bucket[b.quartet.key.bucket.index].try_emplace(key,
-                                                          KeyInfo{proto});
-    if (!inserted) {
+    const auto [head_pos, new_key] = run_heads_.insert(key);
+    if (new_key) run_heads_[head_pos] = kNone;
+    const std::int64_t bucket = b.quartet.key.bucket.index;
+    if (const std::uint32_t e = entry_of(run_heads_[head_pos], bucket);
+        e != kNone) {
       // The run's grade is the most-degraded evidence seen: any quartet of
       // the group leaning on a transferred baseline marks the bucket.
-      slot->second.proto.grade =
-          std::max(slot->second.proto.grade, proto.grade);
+      runs_[e].proto.grade = std::max(runs_[e].proto.grade, b.grade);
+      continue;
     }
+    RunEntry entry{.bucket = bucket, .key = key, .next = run_heads_[head_pos]};
+    entry.proto.category = b.blame;
+    entry.proto.location = b.quartet.key.location;
+    entry.proto.grade = b.grade;
+    if (b.blame == core::Blame::Middle) {
+      entry.proto.middle = b.quartet.middle;
+    } else {
+      entry.proto.faulty_as = b.faulty_as;
+    }
+    run_heads_[head_pos] = static_cast<std::uint32_t>(runs_.size());
+    runs_.push_back(std::move(entry));
   }
+  run_order_.resize(runs_.size());
+  for (std::uint32_t e = 0; e < runs_.size(); ++e) run_order_[e] = e;
+  std::sort(run_order_.begin(), run_order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return std::tie(runs_[a].bucket, runs_[a].key) <
+                     std::tie(runs_[b].bucket, runs_[b].key);
+            });
 
-  for (const auto& [bucket_index, keys] : by_bucket) {
-    const util::TimeBucket bucket{bucket_index};
-    auto pending = keys;
+  // Buckets in order; within one, open runs extend or close in map order,
+  // then the bucket's unmatched keys open runs in key order.
+  for (std::size_t first = 0; first < run_order_.size();) {
+    const util::TimeBucket bucket{runs_[run_order_[first]].bucket};
+    std::size_t last = first;
+    while (last < run_order_.size() &&
+           runs_[run_order_[last]].bucket == bucket.index) {
+      ++last;
+    }
     for (auto it = open_runs_.begin(); it != open_runs_.end();) {
       auto& run = it->second;
-      const auto hit = pending.find(it->first);
-      if (hit != pending.end()) {
+      const std::uint32_t head_pos = run_heads_.find(it->first);
+      const std::uint32_t hit =
+          head_pos == util::FlatTable<std::uint32_t>::kAbsent
+              ? kNone
+              : entry_of(run_heads_[head_pos], bucket.index);
+      if (hit != kNone) {
         run.incident.last_seen = bucket.start();
         ++run.incident.buckets;
         run.incident.grade =
-            std::max(run.incident.grade, hit->second.proto.grade);
+            std::max(run.incident.grade, runs_[hit].proto.grade);
         run.last_bucket = bucket;
-        pending.erase(hit);
+        runs_[hit].matched = true;
         ++it;
       } else if (bucket > run.last_bucket) {
         // A later bucket arrived without this key: the run ended.
@@ -338,50 +426,56 @@ void VerdictStore::fold_incidents(const core::StepReport& report) {
         ++it;
       }
     }
-    for (const auto& [key, info] : pending) {
+    for (std::size_t k = first; k < last; ++k) {
+      const RunEntry& entry = runs_[run_order_[k]];
+      if (entry.matched) continue;
       OpenRun run;
-      run.incident = info.proto;
+      run.incident = entry.proto;
       run.incident.first_seen = bucket.start();
       run.incident.last_seen = bucket.start();
       run.incident.buckets = 1;
       run.incident.open = true;
       run.last_bucket = bucket;
-      open_runs_.emplace(key, std::move(run));
+      open_runs_.emplace(entry.key, std::move(run));
     }
+    first = last;
   }
 
   // Name the culprit on open middle runs the active phase resolved; a
   // probed-cold diagnosis also escalates the run's grade (the named AS
   // rests on a cold-path measurement).
-  for (auto& [key, run] : open_runs_) {
-    const auto it = culprit_of.find(key);
-    if (it != culprit_of.end()) run.incident.faulty_as = it->second;
-    const auto git = diag_grade_of.find(key);
-    if (git != diag_grade_of.end()) {
-      run.incident.grade = std::max(run.incident.grade, git->second);
+  if (!report.diagnoses.empty()) {
+    for (auto& [key, run] : open_runs_) {
+      const std::uint32_t pos = diag_index_.find(key);
+      if (pos == util::FlatTable<DiagnosisIndex>::kAbsent) continue;
+      const DiagnosisIndex& entry = diag_index_[pos];
+      if (entry.last_with_culprit >= 0) {
+        run.incident.faulty_as =
+            report.diagnoses[static_cast<std::size_t>(entry.last_with_culprit)]
+                .culprit;
+      }
+      if (entry.probed_cold) {
+        run.incident.grade =
+            std::max(run.incident.grade, core::BaselineGrade::ProbedCold);
+      }
     }
   }
-
-  while (closed_.size() > config_.max_closed_incidents) closed_.pop_front();
+  closed_.trim(config_.max_closed_incidents);
 
   for (const auto& d : report.diagnoses) {
     diagnoses_.push_back(DiagnosisRecord{report.now, d});
   }
-  while (diagnoses_.size() > config_.max_diagnoses) diagnoses_.pop_front();
+  diagnoses_.trim(config_.max_diagnoses);
 }
 
 void VerdictStore::publish_timeline(const Health& health) {
   auto timeline = std::make_shared<Timeline>();
-  timeline->incidents.reserve(closed_.size() + open_runs_.size());
-  timeline->incidents.assign(closed_.begin(), closed_.end());
+  timeline->closed = closed_.view();
+  timeline->open.reserve(open_runs_.size());
   for (const auto& [key, run] : open_runs_) {
-    timeline->incidents.push_back(run.incident);
+    timeline->open.push_back(run.incident);
   }
-  std::sort(timeline->incidents.begin(), timeline->incidents.end(),
-            [](const Incident& a, const Incident& b) {
-              return a.first_seen < b.first_seen;
-            });
-  timeline->diagnoses.assign(diagnoses_.begin(), diagnoses_.end());
+  timeline->diagnoses = diagnoses_.view();
   timeline->health = health;
   timeline_.store(std::move(timeline));
 }
@@ -390,16 +484,16 @@ std::optional<Verdict> VerdictStore::lookup(
     net::Slash24 block, net::CloudLocationId location) const {
   obs::add(lookups_c_);
   const auto shard = shards_[shard_of(block)].load();
-  const auto it = shard->find(key_of(block, location));
-  if (it == shard->end()) return std::nullopt;
-  return it->second;
+  const std::uint32_t pos = shard->find(key_of(block, location));
+  if (pos == ShardTable::kAbsent) return std::nullopt;
+  return (*shard)[pos];
 }
 
 std::vector<Verdict> VerdictStore::lookup(net::Slash24 block) const {
   obs::add(lookups_c_);
   std::vector<Verdict> out;
   const auto shard = shards_[shard_of(block)].load();
-  for (const auto& [key, v] : *shard) {
+  for (const Verdict& v : shard->values()) {
     if (v.block == block) out.push_back(v);
   }
   std::sort(out.begin(), out.end(), [](const Verdict& a, const Verdict& b) {
@@ -413,7 +507,7 @@ std::vector<Verdict> VerdictStore::lookup(net::Prefix prefix) const {
   std::vector<Verdict> out;
   for (const auto& shard_slot : shards_) {
     const auto shard = shard_slot.load();
-    for (const auto& [key, v] : *shard) {
+    for (const Verdict& v : shard->values()) {
       if (prefix.contains(v.block)) out.push_back(v);
     }
   }
@@ -428,15 +522,24 @@ std::vector<Incident> VerdictStore::incidents_since(
     util::MinuteTime since) const {
   const auto timeline = timeline_.load();
   std::vector<Incident> out;
-  for (const auto& inc : timeline->incidents) {
+  const auto keep = [&](const Incident& inc) {
     if (inc.last_seen >= since) out.push_back(inc);
-  }
+  };
+  timeline->closed.for_each(keep);
+  for (const Incident& inc : timeline->open) keep(inc);
+  std::sort(out.begin(), out.end(), [](const Incident& a, const Incident& b) {
+    return incident_rank(a) < incident_rank(b);
+  });
   return out;
 }
 
 std::vector<DiagnosisRecord> VerdictStore::recent_diagnoses() const {
   const auto timeline = timeline_.load();
-  return timeline->diagnoses;
+  std::vector<DiagnosisRecord> out;
+  out.reserve(timeline->diagnoses.size());
+  timeline->diagnoses.for_each(
+      [&](const DiagnosisRecord& record) { out.push_back(record); });
+  return out;
 }
 
 VerdictStore::Health VerdictStore::health() const {
@@ -444,12 +547,8 @@ VerdictStore::Health VerdictStore::health() const {
 }
 
 std::size_t VerdictStore::verdict_state_bytes() const {
-  // The working map AND its latest published copy are both resident.
   std::size_t n = 0;
-  for (const auto& shard : work_) {
-    n += 2 * shard.size() *
-         (sizeof(std::pair<const Key, Verdict>) + kHashNodeOverhead);
-  }
+  for (const auto& table : published_) n += table->memory_bytes();
   return n;
 }
 
@@ -466,9 +565,11 @@ void VerdictStore::save_state(store::SnapshotWriter& writer) const {
 
   // Verdict rows in a layout-free normal form: globally key-sorted,
   // column-major. (Keys are unique across shards, so a flat sort is exact.)
-  std::vector<std::pair<Key, Verdict>> rows;
-  for (const auto& shard : work_) {
-    for (const auto& [key, v] : shard) rows.emplace_back(key, v);
+  std::vector<std::pair<Key, const Verdict*>> rows;
+  for (const auto& table : published_) {
+    for (const Verdict& v : table->values()) {
+      rows.emplace_back(key_of(v.block, v.location), &v);
+    }
   }
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -479,29 +580,29 @@ void VerdictStore::save_state(store::SnapshotWriter& writer) const {
     store::put_varint(out, key - prev);
     prev = key;
   }
-  for (const auto& [key, v] : rows) store::put_varint(out, v.middle.value);
-  for (const auto& [key, v] : rows) store::put_varint(out, v.client_as.value);
+  for (const auto& [key, v] : rows) store::put_varint(out, v->middle.value);
+  for (const auto& [key, v] : rows) store::put_varint(out, v->client_as.value);
   for (const auto& [key, v] : rows) {
-    out.push_back(static_cast<char>(v.blame));
+    out.push_back(static_cast<char>(v->blame));
   }
   for (const auto& [key, v] : rows) {
-    store::put_varint(out, v.faulty_as ? v.faulty_as->value + std::uint64_t{1}
-                                       : 0);
+    store::put_varint(
+        out, v->faulty_as ? v->faulty_as->value + std::uint64_t{1} : 0);
   }
   for (const auto& [key, v] : rows) {
-    out.push_back(static_cast<char>(v.confidence));
+    out.push_back(static_cast<char>(v->confidence));
   }
   for (const auto& [key, v] : rows) {
     out.push_back(static_cast<char>(
-        (v.from_active ? 1 : 0) | (v.baseline_predates_issue ? 2 : 0) |
-        (static_cast<int>(v.grade) << 2)));
+        (v->from_active ? 1 : 0) | (v->baseline_predates_issue ? 2 : 0) |
+        (static_cast<int>(v->grade) << 2)));
   }
-  for (const auto& [key, v] : rows) store::put_svarint(out, v.bucket.index);
-  for (const auto& [key, v] : rows) store::put_f64(out, v.mean_rtt_ms);
-  for (const auto& [key, v] : rows) store::put_svarint(out, v.sample_count);
+  for (const auto& [key, v] : rows) store::put_svarint(out, v->bucket.index);
+  for (const auto& [key, v] : rows) store::put_f64(out, v->mean_rtt_ms);
+  for (const auto& [key, v] : rows) store::put_svarint(out, v->sample_count);
 
-  // Incident machinery: open runs (key-sorted for determinism), closed ring
-  // and diagnosis ring in deque order (order is part of the bounded-pop
+  // Incident machinery: open runs (key-sorted for determinism), closed log
+  // and diagnosis ring oldest first (order is part of the bounded-pop
   // semantics).
   std::vector<std::pair<std::uint64_t, const OpenRun*>> runs;
   runs.reserve(open_runs_.size());
@@ -515,11 +616,10 @@ void VerdictStore::save_state(store::SnapshotWriter& writer) const {
     store::put_svarint(out, run->last_bucket.index);
   }
   store::put_varint(out, closed_.size());
-  for (const Incident& inc : closed_) put_incident(out, inc);
+  closed_.view().for_each([&](const Incident& inc) { put_incident(out, inc); });
   store::put_varint(out, diagnoses_.size());
-  for (const DiagnosisRecord& record : diagnoses_) {
-    put_diagnosis(out, record);
-  }
+  diagnoses_.view().for_each(
+      [&](const DiagnosisRecord& record) { put_diagnosis(out, record); });
 }
 
 void VerdictStore::restore_state(const store::SnapshotReader& reader) {
@@ -535,20 +635,22 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   const std::int64_t last_step_minutes = in.svarint();
   const bool degraded = in.varint() != 0;
 
+  // Every declared count is checked against the bytes left before anything
+  // is allocated for it.
   const std::uint64_t n_rows = in.varint();
-  if (n_rows > (std::uint64_t{1} << 40)) in.fail("verdict row count absurd");
-  std::vector<Key> keys(static_cast<std::size_t>(n_rows));
-  std::vector<Verdict> verdicts(static_cast<std::size_t>(n_rows));
-  Key prev = 0;
-  for (auto& key : keys) {
-    prev += in.varint();
-    key = prev;
+  if (n_rows > in.remaining() / kMinRowBytes) {
+    in.fail("verdict row count exceeds section");
   }
+  std::vector<Verdict> verdicts(static_cast<std::size_t>(n_rows));
+  Key key = 0;
   for (std::size_t r = 0; r < verdicts.size(); ++r) {
-    verdicts[r].block =
-        net::Slash24{static_cast<std::uint32_t>(keys[r] >> 16)};
+    key = in.next_key(key, r == 0);
+    verdicts[r].block = net::Slash24{static_cast<std::uint32_t>(key >> 16)};
     verdicts[r].location =
-        net::CloudLocationId{static_cast<std::uint16_t>(keys[r] & 0xFFFF)};
+        net::CloudLocationId{static_cast<std::uint16_t>(key & 0xFFFF)};
+    if (key_of(verdicts[r].block, verdicts[r].location) != key) {
+      in.fail("verdict key out of range");
+    }
   }
   for (auto& v : verdicts) {
     v.middle = net::MiddleSegmentId{static_cast<std::uint32_t>(in.varint())};
@@ -556,14 +658,25 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   for (auto& v : verdicts) {
     v.client_as = net::AsId{static_cast<std::uint32_t>(in.varint())};
   }
-  for (auto& v : verdicts) v.blame = static_cast<core::Blame>(in.u8());
+  for (auto& v : verdicts) {
+    const std::uint8_t blame = in.u8();
+    if (blame > static_cast<std::uint8_t>(core::Blame::Insufficient)) {
+      in.fail("verdict blame out of range");
+    }
+    v.blame = static_cast<core::Blame>(blame);
+  }
   for (auto& v : verdicts) {
     if (const std::uint64_t as = in.varint(); as != 0) {
       v.faulty_as = net::AsId{static_cast<std::uint32_t>(as - 1)};
     }
   }
   for (auto& v : verdicts) {
-    v.confidence = static_cast<core::DiagnosisConfidence>(in.u8());
+    const std::uint8_t confidence = in.u8();
+    if (confidence >
+        static_cast<std::uint8_t>(core::DiagnosisConfidence::Low)) {
+      in.fail("verdict confidence out of range");
+    }
+    v.confidence = static_cast<core::DiagnosisConfidence>(confidence);
   }
   for (auto& v : verdicts) {
     const std::uint8_t bits = in.u8();
@@ -577,25 +690,33 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   for (auto& v : verdicts) v.sample_count = static_cast<int>(in.svarint());
 
   const std::uint64_t n_runs = in.varint();
-  if (n_runs > (std::uint64_t{1} << 32)) in.fail("open-run count absurd");
+  if (n_runs > in.remaining() / kMinOpenRunBytes) {
+    in.fail("open-run count exceeds section");
+  }
   std::unordered_map<Key, OpenRun> open_runs;
   open_runs.reserve(static_cast<std::size_t>(n_runs));
   for (std::uint64_t r = 0; r < n_runs; ++r) {
-    const std::uint64_t key = in.u64();
+    const std::uint64_t run_key = in.u64();
     OpenRun run;
     run.incident = read_incident(in, format);
     run.last_bucket = util::TimeBucket{in.svarint()};
-    open_runs.emplace(key, std::move(run));
+    if (!open_runs.emplace(run_key, std::move(run)).second) {
+      in.fail("duplicate open-run key");
+    }
   }
   const std::uint64_t n_closed = in.varint();
-  if (n_closed > (std::uint64_t{1} << 32)) in.fail("closed count absurd");
-  std::deque<Incident> closed;
+  if (n_closed > in.remaining() / kMinIncidentBytes) {
+    in.fail("closed-incident count exceeds section");
+  }
+  ChunkLog<Incident> closed;
   for (std::uint64_t c = 0; c < n_closed; ++c) {
     closed.push_back(read_incident(in, format));
   }
   const std::uint64_t n_diagnoses = in.varint();
-  if (n_diagnoses > (std::uint64_t{1} << 32)) in.fail("diagnosis count absurd");
-  std::deque<DiagnosisRecord> diagnoses;
+  if (n_diagnoses > in.remaining() / kMinDiagnosisBytes) {
+    in.fail("diagnosis count exceeds section");
+  }
+  ChunkLog<DiagnosisRecord> diagnoses;
   for (std::uint64_t d = 0; d < n_diagnoses; ++d) {
     diagnoses.push_back(read_diagnosis(in));
   }
@@ -610,13 +731,19 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
   closed_ = std::move(closed);
   diagnoses_ = std::move(diagnoses);
 
-  for (auto& shard : work_) shard.clear();
-  for (std::size_t r = 0; r < keys.size(); ++r) {
-    work_[shard_of(verdicts[r].block)].emplace(keys[r], verdicts[r]);
+  std::array<std::size_t, kShards> per_shard{};
+  for (const Verdict& v : verdicts) ++per_shard[shard_of(v.block)];
+  std::array<std::shared_ptr<ShardTable>, kShards> tables;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    tables[s] = std::make_shared<ShardTable>();
+    tables[s]->reserve(per_shard[s]);
   }
-  for (std::size_t i = 0; i < work_.size(); ++i) {
-    shards_[i].store(std::make_shared<const ShardMap>(work_[i]));
-    dirty_[i] = false;
+  for (const Verdict& v : verdicts) {
+    ShardTable& table = *tables[shard_of(v.block)];
+    table[table.insert(key_of(v.block, v.location)).first] = v;
+  }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    install_shard(s, std::move(tables[s]));
   }
   // The restored epoch is already the published count; unlike publish()
   // there is no pending increment to anticipate.
@@ -625,7 +752,7 @@ void VerdictStore::restore_state(const store::SnapshotReader& reader) {
                           .steps = steps_,
                           .degraded_steps = degraded_steps_,
                           .degraded = degraded});
-  obs::set(verdicts_g_, static_cast<double>(keys.size()));
+  obs::set(verdicts_g_, static_cast<double>(verdicts.size()));
   obs::set(open_incidents_g_, static_cast<double>(open_runs_.size()));
 }
 

@@ -4,14 +4,17 @@
 // snapshots without ever blocking the publisher (or being blocked by it).
 //
 // Concurrency design (epoch/RCU-style):
-//  - Verdicts are sharded by client /24. Each shard is an immutable
-//    std::shared_ptr<const map>; publish() builds replacement maps off to
-//    the side and swaps the pointers (SnapshotSlot below). Readers load
-//    the pointer once and query a frozen map — nothing is held across the
-//    lookup, no torn reads, and a reader keeps its snapshot alive for as
-//    long as it holds the pointer.
+//  - Verdicts are sharded by client /24. Each shard is one immutable
+//    util::FlatTable behind a SnapshotSlot (below). publish() builds a
+//    replacement table only for the shards the step touched (a blame landed
+//    there, or its oldest verdict aged out) and swaps the pointer. Readers
+//    load the pointer once and query a frozen table — nothing is held
+//    across the lookup, no torn reads, and a reader keeps its snapshot
+//    alive for as long as it holds the pointer.
 //  - Incident timelines, recent diagnoses, and health live in one
-//    atomically-swapped Timeline snapshot, same scheme.
+//    atomically-swapped Timeline snapshot, same scheme. Closed incidents
+//    and diagnoses sit in append-only chunk logs (ChunkLog below), so a
+//    publish shares every earlier item by pointer instead of copying it.
 //  - publish() must be called from ONE thread at a time (the pipeline step
 //    loop); every read API is safe from any number of threads concurrently
 //    with publish(). The epoch counter increments once per publish, after
@@ -29,7 +32,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -40,6 +43,7 @@
 #include "net/ipv4.h"
 #include "obs/registry.h"
 #include "store/snapshot.h"
+#include "util/flat_table.h"
 #include "util/time.h"
 
 namespace blameit::svc {
@@ -82,6 +86,82 @@ class SnapshotSlot {
 
   mutable std::atomic_flag flag_;  // value-initialized clear since C++20
   std::shared_ptr<T> ptr_;
+};
+
+/// An append-only log of fixed-size chunks that readers share by pointer.
+/// The single writer fills the tail chunk past the length of every View it
+/// has handed out, so the items a View covers are never written again and
+/// no item is ever copied to publish it. A ring bound advances a start
+/// offset; a head chunk wholly behind it is dropped from the chunk list
+/// (readers still holding it keep it alive). The chunk list itself is
+/// replaced, never edited, once per kChunk appends or drops.
+template <typename T>
+class ChunkLog {
+ public:
+  static constexpr std::size_t kChunk = 64;
+
+ private:
+  struct Chunk {
+    std::array<T, kChunk> items;
+  };
+  using ChunkList = std::vector<std::shared_ptr<Chunk>>;
+
+ public:
+  /// An immutable window of the log as of one publish, oldest item first.
+  class View {
+   public:
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    template <typename F>
+    void for_each(F&& f) const {
+      for (std::size_t i = start_; i < start_ + size_; ++i) {
+        f(static_cast<const T&>((*chunks_)[i / kChunk]->items[i % kChunk]));
+      }
+    }
+
+   private:
+    friend class ChunkLog;
+    std::shared_ptr<const ChunkList> chunks_;
+    std::size_t start_ = 0;
+    std::size_t size_ = 0;
+  };
+
+  void push_back(T item) {
+    const std::size_t end = start_ + size_;
+    if (end == chunks_->size() * kChunk) {  // tail full, or no chunk yet
+      auto next = std::make_shared<ChunkList>(*chunks_);
+      next->push_back(std::make_shared<Chunk>());
+      chunks_ = std::move(next);
+    }
+    (*chunks_)[end / kChunk]->items[end % kChunk] = std::move(item);
+    ++size_;
+  }
+
+  /// Drops the oldest items until at most `max` remain.
+  void trim(std::size_t max) {
+    if (size_ <= max) return;
+    start_ += size_ - max;
+    size_ = max;
+    if (const std::size_t drop = start_ / kChunk; drop > 0) {
+      chunks_ = std::make_shared<const ChunkList>(
+          chunks_->begin() + static_cast<std::ptrdiff_t>(drop), chunks_->end());
+      start_ -= drop * kChunk;
+    }
+  }
+
+  [[nodiscard]] View view() const {
+    View v;
+    v.chunks_ = chunks_;
+    v.start_ = start_;
+    v.size_ = size_;
+    return v;
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::shared_ptr<const ChunkList> chunks_ =
+      std::make_shared<const ChunkList>();
+  std::size_t start_ = 0;  ///< first live item's index into the chunk list
+  std::size_t size_ = 0;
 };
 
 /// One current blame verdict for a ⟨client /24, cloud location⟩ pair.
@@ -173,8 +253,9 @@ class VerdictStore {
   /// location.
   [[nodiscard]] std::vector<Verdict> lookup(net::Prefix prefix) const;
 
-  /// Incidents (open and closed) with last_seen >= since, ordered by
-  /// first_seen.
+  /// Incidents (open and closed) with last_seen >= since, in one total
+  /// order: first_seen, then category, location, middle, faulty AS,
+  /// last_seen (and the remaining fields), so equal stores answer equally.
   [[nodiscard]] std::vector<Incident> incidents_since(
       util::MinuteTime since) const;
 
@@ -187,9 +268,10 @@ class VerdictStore {
   }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  /// Approximate bytes held by the live verdict rows (working state plus
-  /// published snapshots; excludes incident/diagnosis rings). Publisher-
-  /// thread only.
+  /// Heap bytes of the published verdict tables: every shard's slot array
+  /// and value array at their allocated capacity (excludes the incident and
+  /// diagnosis logs and the publisher's per-step scratch). Publisher-thread
+  /// only.
   [[nodiscard]] std::size_t verdict_state_bytes() const;
 
   /// Writes the full store state as snapshot section "verdicts" (verdict
@@ -204,14 +286,34 @@ class VerdictStore {
  private:
   using Key = std::uint64_t;  // block << 16 | location
   static constexpr std::size_t kShards = 8;
-  using ShardMap = std::unordered_map<Key, Verdict>;
-  using ShardPtr = std::shared_ptr<const ShardMap>;
+  using ShardTable = util::FlatTable<Verdict>;
+  using ShardPtr = std::shared_ptr<const ShardTable>;
+  static constexpr std::int64_t kNoBucket =
+      std::numeric_limits<std::int64_t>::max();
 
   /// Everything non-sharded, swapped as one snapshot.
   struct Timeline {
-    std::vector<Incident> incidents;  ///< by first_seen; open runs included
-    std::vector<DiagnosisRecord> diagnoses;
+    ChunkLog<Incident>::View closed;  ///< oldest first
+    std::vector<Incident> open;       ///< the open runs
+    ChunkLog<DiagnosisRecord>::View diagnoses;
     Health health;
+  };
+
+  /// Where this step's diagnoses of one ⟨location, middle⟩ sit in the
+  /// report (-1 = none).
+  struct DiagnosisIndex {
+    std::int32_t last = -1;
+    std::int32_t last_with_culprit = -1;
+    bool probed_cold = false;
+  };
+
+  /// One ⟨bucket, incident run⟩ of this step, deduped as blames are read.
+  struct RunEntry {
+    std::int64_t bucket = 0;
+    std::uint64_t key = 0;
+    Incident proto;  ///< template used when the run opens
+    std::uint32_t next = 0;  ///< same run key's previous entry, or kNone
+    bool matched = false;    ///< extended an open run
   };
 
   [[nodiscard]] static constexpr Key key_of(
@@ -226,30 +328,50 @@ class VerdictStore {
     return static_cast<std::size_t>(x) % kShards;
   }
 
+  void index_diagnoses(const core::StepReport& report);
+  [[nodiscard]] Verdict make_verdict(const core::StepReport& report,
+                                     const core::BlameResult& b) const;
   void fold_blames(const core::StepReport& report);
+  /// Publishes shard `s` rebuilt as its old table's survivors (newer than
+  /// `horizon`, not overwritten this step) plus this step's upserts.
+  void rebuild_shard(std::size_t s, const core::StepReport& report,
+                     std::int64_t horizon);
   void fold_incidents(const core::StepReport& report);
   /// Swaps in a Timeline of the current incident runs and diagnoses.
   void publish_timeline(const Health& health);
+  void install_shard(std::size_t s, ShardPtr table);
 
   Config config_;
 
-  // Publisher-private working state (only the publish thread touches it).
-  std::array<ShardMap, kShards> work_{};  // mutable mirror of the shards
-  std::array<bool, kShards> dirty_{};     // which shards changed this publish
+  // Publisher-private state (only the publish thread touches it).
+  std::array<ShardPtr, kShards> published_{};  ///< what each slot holds
+  std::array<std::int64_t, kShards> oldest_{};  ///< per shard, or kNoBucket
   util::TimeBucket newest_bucket_{0};
 
   struct OpenRun {
     Incident incident;
     util::TimeBucket last_bucket{0};
   };
+  // Iteration order decides the order runs close in (and so the serialized
+  // closed log), which is why this stays a std::unordered_map fed in the
+  // same order as ever.
   std::unordered_map<Key, OpenRun> open_runs_;  // keyed by packed run key
-  std::deque<Incident> closed_;                 // bounded history
-  std::deque<DiagnosisRecord> diagnoses_;       // bounded ring
+  ChunkLog<Incident> closed_;                   // bounded history
+  ChunkLog<DiagnosisRecord> diagnoses_;         // bounded ring
   std::uint64_t steps_ = 0;
   std::uint64_t degraded_steps_ = 0;
 
+  // Per-step scratch, reused across publishes.
+  util::FlatTable<DiagnosisIndex> diag_index_;  ///< by middle run key
+  std::array<std::vector<std::uint32_t>, kShards> upserts_{};  ///< blame idx
+  util::FlatTable<std::uint32_t> shard_step_;  ///< one shard's key -> blame
+  std::vector<std::uint32_t> survivors_;       ///< old-table positions
+  util::FlatTable<std::uint32_t> run_heads_;   ///< run key -> newest entry
+  std::vector<RunEntry> runs_;
+  std::vector<std::uint32_t> run_order_;       ///< runs_ by ⟨bucket, key⟩
+
   // Shared state (publisher swaps, readers load).
-  std::array<SnapshotSlot<const ShardMap>, kShards> shards_;
+  std::array<SnapshotSlot<const ShardTable>, kShards> shards_;
   SnapshotSlot<const Timeline> timeline_;
   std::atomic<std::uint64_t> epoch_{0};
 

@@ -31,6 +31,13 @@ class FlatTable {
     }
   }
 
+  /// Makes room for `n` keys, so the next `n` inserts allocate nothing: at
+  /// most one slot-array and one value-array allocation.
+  void reserve(std::size_t n) {
+    values_.reserve(n);
+    if (2 * n > slots_.size()) rehash(std::bit_ceil(2 * n));
+  }
+
   /// Position of `key`'s value; a new key gets a default value (and true).
   std::pair<std::uint32_t, bool> insert(std::uint64_t key) {
     if (2 * (values_.size() + 1) > slots_.size()) grow();
@@ -52,6 +59,11 @@ class FlatTable {
   const V& operator[](std::uint32_t pos) const { return values_[pos]; }
 
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
+
+  /// Heap bytes held: the slot array and the value array's capacity.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return slots_.capacity() * sizeof(Slot) + values_.capacity() * sizeof(V);
+  }
 
   /// Every value, by position (= insertion order).
   [[nodiscard]] std::span<V> values() noexcept { return values_; }
@@ -75,9 +87,11 @@ class FlatTable {
     return i;
   }
 
-  void grow() {
+  void grow() { rehash(slots_.empty() ? 64 : 2 * slots_.size()); }
+
+  void rehash(std::size_t n_slots) {
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 64 : 2 * old.size(), Slot{});
+    slots_.assign(n_slots, Slot{});
     shift_ = 64 - std::countr_zero(slots_.size());
     for (const Slot& slot : old) {
       if (slot.epoch == epoch_) slots_[probe(slot.key)] = slot;

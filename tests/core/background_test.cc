@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/prioritizer.h"
+#include "store/snapshot.h"
 
 #include <memory>
 
@@ -50,6 +51,61 @@ TEST_F(BackgroundTest, BaselineStoreRoundTrip) {
   store_.update(loc, mid, Baseline{.when = util::MinuteTime{9}});
   EXPECT_EQ(store_.get(loc, mid)->when, util::MinuteTime{9});
   EXPECT_EQ(store_.size(), 1u);
+}
+
+/// Restores a "baselines" payload; returns the error, or "" if it loaded.
+std::string baselines_restore_error(BaselineStore& store,
+                                    const std::string& payload) {
+  store::SnapshotWriter writer;
+  writer.section("baselines") = payload;
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<hostile>");
+  store::ByteReader in = reader.section("baselines");
+  try {
+    store.restore(in);
+    in.expect_done();
+  } catch (const store::SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// One baseline key record: a single baseline with no contributions.
+void put_baseline_key(std::string& out, std::uint64_t delta) {
+  store::put_varint(out, delta);
+  store::put_varint(out, 1);  // history
+  store::put_svarint(out, 5);
+  store::put_f64(out, 4.0);
+  store::put_varint(out, 0);  // contributions
+}
+
+TEST_F(BackgroundTest, HostileBaselineSectionsAreRejected) {
+  std::string ok;
+  store::put_varint(ok, 2);
+  put_baseline_key(ok, 9);
+  put_baseline_key(ok, 1);
+  EXPECT_EQ(baselines_restore_error(store_, ok), "");
+  EXPECT_EQ(store_.size(), 2u);
+
+  // A zero delta used to merge a second history into key 9.
+  std::string dup;
+  store::put_varint(dup, 2);
+  put_baseline_key(dup, 9);
+  put_baseline_key(dup, 0);
+  const std::string dup_error = baselines_restore_error(store_, dup);
+  EXPECT_NE(dup_error.find("duplicate or out-of-order key"), std::string::npos)
+      << dup_error;
+  EXPECT_NE(dup_error.find("section \"baselines\""), std::string::npos);
+
+  // 2^39 declared keys in a few bytes: rejected before the map reserves.
+  std::string huge;
+  store::put_varint(huge, std::uint64_t{1} << 39);
+  put_baseline_key(huge, 9);
+  const std::string huge_error = baselines_restore_error(store_, huge);
+  EXPECT_NE(huge_error.find("baseline key count exceeds section"),
+            std::string::npos)
+      << huge_error;
+  EXPECT_EQ(store_.size(), 2u);  // failed restores leave the store alone
 }
 
 TEST_F(BackgroundTest, FullPeriodCoversEveryPath) {

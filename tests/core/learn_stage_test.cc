@@ -707,6 +707,24 @@ TEST(LearnStageSnapshot, HostileSectionsAreRejectedByName) {
   }
 }
 
+TEST(LearnStageSnapshot, ClientKeyCountIsBoundedByTheSection) {
+  // Each declared key would cost a dense row of kBucketsPerDay x (window+1)
+  // cells; 2^30 keys over a few bytes must fail before the first row.
+  std::string huge;
+  store::put_varint(huge, std::uint64_t{1} << 30);
+  put_client_key(huge, 9, 0, 1);
+  const std::string error = restore_error("clients", huge);
+  EXPECT_NE(error.find("client key count exceeds section"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("section \"clients\""), std::string::npos) << error;
+
+  // A count the bytes can hold still restores.
+  std::string ok;
+  store::put_varint(ok, 1);
+  put_client_key(ok, 9, 0, 1);
+  EXPECT_EQ(restore_error("clients", ok), "");
+}
+
 TEST(LearnStageSnapshot, FailedRestoreKeepsPreviousState) {
   ClientVolumePredictor clients{3};
   const util::TimeBucket bucket{5 * util::kBucketsPerDay + 7};

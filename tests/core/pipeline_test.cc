@@ -259,16 +259,19 @@ TEST_F(PipelineTest, RegistryObservesEveryStage) {
   EXPECT_GT(report.stages.total_ms, 0.0);
   EXPECT_GT(report.stages.localize_ms, 0.0);
   // total covers the whole call, so it bounds the sum of the inner stages.
+  EXPECT_GT(report.stages.source_ms, 0.0);
   EXPECT_GE(report.stages.total_ms,
-            report.stages.learn_ms + report.stages.localize_ms +
-                report.stages.active_ms + report.stages.background_ms);
+            report.stages.source_ms + report.stages.learn_ms +
+                report.stages.localize_ms + report.stages.active_ms +
+                report.stages.background_ms + report.stages.publish_ms);
 
   const auto snap = registry.snapshot();
   // The active span only runs when the step surfaced blames, so it may be
   // empty on a healthy day; the others record on every step.
   EXPECT_NE(snap.histogram("step.active_ms"), nullptr);
-  for (const auto* name : {"step.learn_ms", "step.localize_ms",
-                           "step.background_ms", "step.total_ms"}) {
+  for (const auto* name :
+       {"step.source_ms", "step.learn_ms", "step.localize_ms",
+        "step.background_ms", "step.publish_ms", "step.total_ms"}) {
     const auto* hist = snap.histogram(name);
     ASSERT_NE(hist, nullptr) << name;
     EXPECT_GT(hist->count, 0u) << name;
@@ -283,6 +286,43 @@ TEST_F(PipelineTest, RegistryObservesEveryStage) {
             0u);
   EXPECT_EQ(snap.counter_value("background.probes").value_or(0),
             static_cast<std::uint64_t>(report.background_probes));
+}
+
+TEST_F(PipelineTest, HostileCursorSectionsAreRejected) {
+  build();
+  const auto restore_error = [&](std::uint64_t n_runs,
+                                 const std::vector<std::uint64_t>& deltas) {
+    std::string out;
+    store::put_varint(out, 2);    // format
+    store::put_svarint(out, 10);  // next bucket
+    store::put_svarint(out, 50);  // last step
+    store::put_svarint(out, -1);  // last eviction day
+    store::put_varint(out, n_runs);
+    for (const std::uint64_t delta : deltas) {
+      store::put_varint(out, delta);
+      store::put_svarint(out, 9);  // last bucket
+      store::put_svarint(out, 2);  // length
+    }
+    store::put_varint(out, 0);  // shields
+    store::SnapshotWriter writer;
+    writer.section("pipeline-cursors") = out;
+    const auto reader =
+        store::SnapshotReader::from_bytes(writer.serialize(), "<hostile>");
+    try {
+      pipeline_->restore_snapshot(reader);
+    } catch (const store::SnapshotError& e) {
+      return std::string{e.what()};
+    }
+    return std::string{};
+  };
+  // A zero delta used to be dropped by emplace as a second run for key 7.
+  const std::string dup = restore_error(2, {7, 0});
+  EXPECT_NE(dup.find("duplicate or out-of-order key"), std::string::npos)
+      << dup;
+  EXPECT_NE(dup.find("section \"pipeline-cursors\""), std::string::npos);
+  const std::string huge = restore_error(std::uint64_t{1} << 31, {7});
+  EXPECT_NE(huge.find("open-run count exceeds section"), std::string::npos)
+      << huge;
 }
 
 TEST_F(PipelineTest, SnapshotRestoreContinuesBitIdentically) {

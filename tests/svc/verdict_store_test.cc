@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/digest.h"
+
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -320,6 +322,34 @@ void publish_every_transition(VerdictStore& store) {
                                  make_blame(9, 3, 16, core::Blame::Ambiguous)}));
 }
 
+bool same_incident(const Incident& a, const Incident& b) {
+  return a.category == b.category && a.location == b.location &&
+         a.middle == b.middle && a.faulty_as == b.faulty_as &&
+         a.first_seen == b.first_seen && a.last_seen == b.last_seen &&
+         a.buckets == b.buckets && a.open == b.open && a.grade == b.grade;
+}
+
+bool same_diagnosis(const DiagnosisRecord& a, const DiagnosisRecord& b) {
+  const core::ActiveDiagnosis& x = a.diagnosis;
+  const core::ActiveDiagnosis& y = b.diagnosis;
+  if (a.at != b.at || x.location != y.location || x.middle != y.middle ||
+      x.culprit != y.culprit || x.confidence != y.confidence ||
+      x.grade != y.grade || x.probes_spent != y.probes_spent ||
+      x.culprit_increase_ms != y.culprit_increase_ms ||
+      x.probe.target != y.probe.target ||
+      x.probe.hops.size() != y.probe.hops.size()) {
+    return false;
+  }
+  for (std::size_t h = 0; h < x.probe.hops.size(); ++h) {
+    if (x.probe.hops[h].as != y.probe.hops[h].as ||
+        x.probe.hops[h].cumulative_rtt_ms !=
+            y.probe.hops[h].cumulative_rtt_ms) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void expect_same_answers(const VerdictStore& a, const VerdictStore& b) {
   for (std::uint32_t block : {1u, 2u, 3u, 9u, 77u}) {
     for (std::uint16_t loc : {std::uint16_t{1}, std::uint16_t{2},
@@ -346,8 +376,16 @@ void expect_same_answers(const VerdictStore& a, const VerdictStore& b) {
   }
   const auto ia = a.incidents_since(util::MinuteTime{0});
   const auto ib = b.incidents_since(util::MinuteTime{0});
-  EXPECT_EQ(ia.size(), ib.size());
-  EXPECT_EQ(a.recent_diagnoses().size(), b.recent_diagnoses().size());
+  ASSERT_EQ(ia.size(), ib.size());
+  for (std::size_t i = 0; i < ia.size(); ++i) {
+    EXPECT_TRUE(same_incident(ia[i], ib[i])) << "incident " << i;
+  }
+  const auto da = a.recent_diagnoses();
+  const auto db = b.recent_diagnoses();
+  ASSERT_EQ(da.size(), db.size());
+  for (std::size_t i = 0; i < da.size(); ++i) {
+    EXPECT_TRUE(same_diagnosis(da[i], db[i])) << "diagnosis " << i;
+  }
 }
 
 TEST(VerdictStoreTest, SaveRestoreRoundTrips) {
@@ -371,6 +409,355 @@ TEST(VerdictStoreTest, SaveRestoreRoundTrips) {
       make_report(17, {make_blame(5, 1, 17, core::Blame::Cloud)}));
   EXPECT_TRUE(
       restored.lookup(net::Slash24{5}, net::CloudLocationId{1}).has_value());
+}
+
+core::ActiveDiagnosis make_diagnosis(std::uint16_t location,
+                                     std::uint32_t middle, std::int64_t seq) {
+  core::ActiveDiagnosis diag;
+  diag.location = net::CloudLocationId{location};
+  diag.middle = net::MiddleSegmentId{middle};
+  diag.probe_reached = seq % 3 != 0;
+  diag.have_baseline = seq % 4 != 0;
+  if (seq % 4 != 1) {
+    diag.culprit = net::AsId{static_cast<std::uint32_t>(300 + seq % 9)};
+  }
+  diag.culprit_increase_ms = 0.5 * static_cast<double>(seq % 40);
+  diag.confidence = static_cast<core::DiagnosisConfidence>(seq % 3);
+  if (seq % 5 == 0) diag.grade = core::BaselineGrade::ProbedCold;
+  diag.probes_spent = static_cast<int>(1 + seq % 3);
+  diag.probe.from = diag.location;
+  diag.probe.target = net::Slash24{static_cast<std::uint32_t>(seq)};
+  for (std::int64_t h = 0; h < seq % 4; ++h) {
+    diag.probe.hops.push_back(sim::TracerouteHop{
+        net::AsId{static_cast<std::uint32_t>(400 + h)},
+        10.0 * static_cast<double>(h + 1) + static_cast<double>(seq % 7)});
+  }
+  return diag;
+}
+
+/// Enough steps to wrap the closed-incident ring (1024) and the diagnosis
+/// ring (256) several times over. Every bucket opens three middle runs and
+/// closes the previous three, one cloud run stays open throughout, client
+/// runs come and go, and every step lands one or two diagnoses. Some steps
+/// span two buckets, repeat a key (the later blame wins), or carry a blame
+/// already past the retention horizon.
+void publish_long_history(VerdictStore& store) {
+  std::int64_t seq = 0;
+  for (std::int64_t bucket = 20; bucket < 470; ++seq) {
+    const int span = seq % 7 == 3 ? 2 : 1;
+    core::StepReport report;
+    report.now = util::TimeBucket{bucket + span}.start();
+    report.buckets_processed = span;
+    report.degraded_passive_only = seq % 11 == 5;
+    for (int s = 0; s < span; ++s) {
+      const std::int64_t b = bucket + s;
+      for (std::uint32_t m = 0; m < 3; ++m) {
+        const auto middle = static_cast<std::uint32_t>(1000 + 3 * b + m);
+        auto blame =
+            make_blame(static_cast<std::uint32_t>(100 + (3 * b + m) % 61),
+                       static_cast<std::uint16_t>(1 + m % 2), b,
+                       core::Blame::Middle, middle);
+        if ((b + m) % 5 == 0) blame.grade = core::BaselineGrade::Transferred;
+        report.blames.push_back(blame);
+      }
+      report.blames.push_back(make_blame(7, 2, b, core::Blame::Cloud));
+      if (b % 3 != 0) {
+        report.blames.push_back(make_blame(
+            static_cast<std::uint32_t>(200 + b % 13), 3, b,
+            core::Blame::Client, 1, static_cast<std::uint32_t>(500 + b % 4)));
+      }
+      // Same ⟨/24, location⟩ as the last middle blame: it replaces it.
+      auto repeat =
+          make_blame(static_cast<std::uint32_t>(100 + (3 * b + 2) % 61), 1,
+                     b, core::Blame::Ambiguous);
+      repeat.quartet.mean_rtt_ms = 90.0 + static_cast<double>(b % 5);
+      report.blames.push_back(repeat);
+    }
+    if (seq % 50 == 7) {
+      report.blames.push_back(
+          make_blame(999, 1, bucket - 30, core::Blame::Insufficient));
+    }
+    const auto middle = static_cast<std::uint32_t>(1000 + 3 * bucket);
+    report.diagnoses.push_back(make_diagnosis(1, middle, seq));
+    if (seq % 6 == 0) {
+      report.diagnoses.push_back(make_diagnosis(1, middle, seq + 1));
+    }
+    store.publish(report);
+    bucket += span;
+  }
+}
+
+std::string verdicts_section_digest(const VerdictStore& store) {
+  store::SnapshotWriter writer;
+  store.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<digest>");
+  store::ByteReader in = reader.section("verdicts");
+  return util::Digest64{}.update(in.bytes(in.remaining())).hex();
+}
+
+// The `verdicts` section is a compatibility surface: snapshots written by
+// earlier builds must restore, and the same publish sequence must write the
+// same bytes whatever the in-memory layout. The digest was recorded on the
+// hash-map store this layout replaced.
+TEST(VerdictStoreTest, VerdictsSectionBytesArePinned) {
+  VerdictStore store;
+  publish_every_transition(store);
+  publish_long_history(store);
+  EXPECT_EQ(store.recent_diagnoses().size(), 256u);
+  const auto incidents = store.incidents_since(util::MinuteTime{0});
+  std::size_t closed = 0;
+  for (const auto& inc : incidents) closed += inc.open ? 0 : 1;
+  EXPECT_EQ(closed, 1024u);
+  EXPECT_EQ(verdicts_section_digest(store), "7cf87addf4833e6a");
+}
+
+TEST(VerdictStoreTest, RestoredStoreAnswersAndContinuesLikeTheLiveOne) {
+  VerdictStore live;
+  publish_every_transition(live);
+  publish_long_history(live);
+
+  store::SnapshotWriter writer;
+  live.save_state(writer);
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<rt>");
+  VerdictStore restored;
+  restored.restore_state(reader);
+  expect_same_answers(live, restored);
+  EXPECT_EQ(verdicts_section_digest(restored), verdicts_section_digest(live));
+  EXPECT_EQ(restored.verdict_state_bytes(), live.verdict_state_bytes());
+
+  for (VerdictStore* store : {&live, &restored}) {
+    auto report = make_report(
+        470, {make_blame(7, 2, 470, core::Blame::Cloud),
+              make_blame(100, 1, 470, core::Blame::Middle, 2410)});
+    report.diagnoses.push_back(make_diagnosis(1, 2410, 9));
+    store->publish(report);
+    store->publish(make_report(471, {}));
+  }
+  // Answers match exactly. The serialized closed log may not: runs closing
+  // in the same bucket close in open-run hash-map order, which a restore
+  // does not reproduce.
+  expect_same_answers(live, restored);
+}
+
+TEST(ChunkLogTest, ViewsStayFixedWhileTheLogAppendsAndTrims) {
+  ChunkLog<int> log;
+  const auto items = [](const ChunkLog<int>::View& view) {
+    std::vector<int> out;
+    view.for_each([&](int v) { out.push_back(v); });
+    return out;
+  };
+  EXPECT_TRUE(items(log.view()).empty());
+  for (int i = 0; i < 100; ++i) log.push_back(i);
+  const auto before = log.view();
+  for (int i = 100; i < 300; ++i) {
+    log.push_back(i);
+    log.trim(70);
+  }
+  EXPECT_EQ(log.size(), 70u);
+  std::vector<int> expected;
+  for (int i = 230; i < 300; ++i) expected.push_back(i);
+  EXPECT_EQ(items(log.view()), expected);
+  // The older view still reads its own 100 items, from chunks the log has
+  // since dropped.
+  expected.clear();
+  for (int i = 0; i < 100; ++i) expected.push_back(i);
+  EXPECT_EQ(items(before), expected);
+  log.trim(0);
+  EXPECT_TRUE(items(log.view()).empty());
+  log.push_back(7);
+  EXPECT_EQ(items(log.view()), std::vector<int>{7});
+}
+
+// Readers copy the timeline while the publisher appends to the tail chunk
+// and drops head chunks of both logs. Run under TSan in CI.
+TEST(VerdictStoreTest, TimelineReadersRaceHeadChunkDrops) {
+  VerdictStore store{{.max_closed_incidents = 70, .max_diagnoses = 70}};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto incidents = store.incidents_since(util::MinuteTime{0});
+        EXPECT_LE(incidents.size(), 72u);
+        for (std::size_t i = 0; i < incidents.size(); ++i) {
+          if (i > 0) {
+            EXPECT_LE(incidents[i - 1].first_seen, incidents[i].first_seen);
+          }
+          if (!incidents[i].open) {
+            EXPECT_EQ(incidents[i].buckets, 1);  // one bucket per run
+            EXPECT_EQ(incidents[i].first_seen, incidents[i].last_seen);
+          }
+        }
+        const auto diagnoses = store.recent_diagnoses();
+        EXPECT_LE(diagnoses.size(), 70u);
+        for (std::size_t i = 0; i < diagnoses.size(); ++i) {
+          const auto& probe = diagnoses[i].diagnosis.probe;
+          EXPECT_EQ(probe.hops.size(), probe.target.block % 4);
+          if (i > 0) {
+            EXPECT_EQ(probe.target.block,
+                      diagnoses[i - 1].diagnosis.probe.target.block + 1);
+          }
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  for (std::int64_t step = 0; step < 400; ++step) {
+    const std::int64_t bucket = 10 + step;
+    auto report = make_report(
+        bucket,
+        {make_blame(3, 1, bucket, core::Blame::Middle,
+                    static_cast<std::uint32_t>(1000 + step)),
+         make_blame(7, 2, bucket, core::Blame::Cloud)});
+    report.diagnoses.push_back(make_diagnosis(
+        1, static_cast<std::uint32_t>(1000 + step), step));
+    store.publish(report);
+  }
+  const auto reads_at_end = reads.load(std::memory_order_relaxed);
+  while (reads.load(std::memory_order_relaxed) <= reads_at_end) {
+    std::this_thread::yield();
+  }
+  stop = true;
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(store.recent_diagnoses().size(), 70u);
+  EXPECT_EQ(store.incidents_since(util::MinuteTime{0}).size(), 72u);
+}
+
+// --- Hostile `verdicts` sections. ---
+
+/// A verdicts payload header (format 2) up to the row count.
+std::string verdicts_header() {
+  std::string out;
+  store::put_varint(out, 2);
+  store::put_svarint(out, 20);  // newest bucket
+  store::put_varint(out, 1);    // steps
+  store::put_varint(out, 0);    // degraded steps
+  store::put_u64(out, 1);       // epoch
+  store::put_svarint(out, 0);   // last step
+  store::put_varint(out, 0);    // degraded
+  return out;
+}
+
+/// One verdict row's columns after the key deltas, with `blame` and
+/// `confidence` bytes as given.
+void put_row_columns(std::string& out, std::uint8_t blame,
+                     std::uint8_t confidence) {
+  store::put_varint(out, 7);    // middle
+  store::put_varint(out, 100);  // client AS
+  out.push_back(static_cast<char>(blame));
+  store::put_varint(out, 0);    // faulty AS
+  out.push_back(static_cast<char>(confidence));
+  out.push_back(0);             // flags + grade
+  store::put_svarint(out, 20);  // bucket
+  store::put_f64(out, 80.0);
+  store::put_svarint(out, 20);  // samples
+}
+
+std::string verdicts_restore_error(const std::string& payload) {
+  store::SnapshotWriter writer;
+  writer.section("verdicts") = payload;
+  const auto reader =
+      store::SnapshotReader::from_bytes(writer.serialize(), "<hostile>");
+  VerdictStore store;
+  try {
+    store.restore_state(reader);
+  } catch (const store::SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(VerdictStoreTest, HostileVerdictsSectionsAreRejectedByName) {
+  struct Row {
+    const char* name;
+    std::string payload;
+    std::string message;  ///< "" = must restore cleanly
+  };
+  std::vector<Row> rows;
+  const auto tail = [](std::string out) {
+    for (int i = 0; i < 3; ++i) store::put_varint(out, 0);  // runs, logs
+    return out;
+  };
+  {
+    std::string ok = verdicts_header();
+    store::put_varint(ok, 1);
+    store::put_varint(ok, (std::uint64_t{5} << 16) | 1);
+    put_row_columns(ok, 0, 0);
+    rows.push_back({"well formed", tail(ok), ""});
+  }
+  {
+    // 2^39 declared rows, ten bytes to read them from: rejected before any
+    // row is allocated.
+    std::string huge = verdicts_header();
+    store::put_varint(huge, std::uint64_t{1} << 39);
+    huge.append(10, '\0');
+    rows.push_back({"row count past the section", huge,
+                    "verdict row count exceeds section"});
+  }
+  {
+    std::string dup = verdicts_header();
+    store::put_varint(dup, 2);
+    store::put_varint(dup, (std::uint64_t{5} << 16) | 1);
+    store::put_varint(dup, 0);  // same key again
+    for (int r = 0; r < 2; ++r) put_row_columns(dup, 0, 0);
+    rows.push_back({"zero key delta", tail(dup),
+                    "duplicate or out-of-order key"});
+  }
+  {
+    std::string blame = verdicts_header();
+    store::put_varint(blame, 1);
+    store::put_varint(blame, (std::uint64_t{5} << 16) | 1);
+    put_row_columns(blame, 9, 0);
+    rows.push_back({"blame byte 9", tail(blame), "verdict blame out of range"});
+  }
+  {
+    std::string confidence = verdicts_header();
+    store::put_varint(confidence, 1);
+    store::put_varint(confidence, (std::uint64_t{5} << 16) | 1);
+    put_row_columns(confidence, 0, 3);
+    rows.push_back({"confidence byte 3", tail(confidence),
+                    "verdict confidence out of range"});
+  }
+  {
+    std::string runs = verdicts_header();
+    store::put_varint(runs, 0);
+    store::put_varint(runs, std::uint64_t{1} << 32);  // open runs
+    rows.push_back({"open-run count past the section", runs,
+                    "open-run count exceeds section"});
+  }
+  {
+    std::string closed = verdicts_header();
+    store::put_varint(closed, 0);
+    store::put_varint(closed, 0);
+    store::put_varint(closed, std::uint64_t{1} << 32);  // closed incidents
+    rows.push_back({"closed count past the section", closed,
+                    "closed-incident count exceeds section"});
+  }
+  {
+    std::string diagnoses = verdicts_header();
+    for (int i = 0; i < 3; ++i) store::put_varint(diagnoses, 0);
+    store::put_varint(diagnoses, std::uint64_t{1} << 32);
+    rows.push_back({"diagnosis count past the section", diagnoses,
+                    "diagnosis count exceeds section"});
+  }
+
+  for (const Row& row : rows) {
+    const std::string error = verdicts_restore_error(row.payload);
+    if (row.message.empty()) {
+      EXPECT_EQ(error, "") << row.name;
+      continue;
+    }
+    EXPECT_NE(error.find(row.message), std::string::npos)
+        << row.name << ": " << error;
+    EXPECT_NE(error.find("section \"verdicts\""), std::string::npos)
+        << row.name << ": " << error;
+  }
 }
 
 }  // namespace

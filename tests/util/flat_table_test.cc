@@ -93,6 +93,33 @@ TEST(FlatTable, ClearForgetsKeysAndIsReusable) {
   EXPECT_EQ(table.find(3), kAbsent);
 }
 
+TEST(FlatTable, ReserveAllocatesOnceAndKeepsKeys) {
+  FlatTable<std::uint64_t> table;
+  EXPECT_EQ(table.memory_bytes(), 0u);
+  table.reserve(0);
+  EXPECT_EQ(table.memory_bytes(), 0u);
+  table.reserve(1);  // a one-key table needs two slots, not a 64-slot grow
+  EXPECT_EQ(table.memory_bytes(), sizeof(std::uint64_t) + 2 * 16);
+  for (std::uint64_t k = 0; k < 10; ++k) table[table.insert(k).first] = k;
+
+  // Reserving on a filled table rehashes the live keys in place.
+  table.reserve(1000);
+  const std::size_t reserved = table.memory_bytes();
+  EXPECT_EQ(reserved, 1000 * sizeof(std::uint64_t) + 2048 * 16);
+  for (std::uint64_t k = 0; k < 10; ++k) ASSERT_EQ(table.find(k), k);
+  for (std::uint64_t k = 10; k < 1000; ++k) {
+    const auto [pos, added] = table.insert(k << 20);
+    ASSERT_TRUE(added);
+    table[pos] = k;
+  }
+  EXPECT_EQ(table.memory_bytes(), reserved);  // no insert allocated
+  for (std::uint64_t k = 10; k < 1000; ++k) {
+    ASSERT_EQ(table[table.find(k << 20)], k);
+  }
+  table.reserve(500);  // never shrinks
+  EXPECT_EQ(table.memory_bytes(), reserved);
+}
+
 TEST(FlatTable, EpochWraparoundResetsStaleSlots) {
   // Slots of earlier fills stay stamped with their fill's epoch. When the
   // 32-bit epoch wraps back to 1, every slot must be reset, or the keys of
